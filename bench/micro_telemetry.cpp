@@ -106,7 +106,6 @@ RowResult run_row(const net::ThreeTier& tree, const SweepRow& row) {
   obs::Observability hub;
 
   FlowserverConfig cfg;
-  cfg.shard_by_edge = true;  // selection stays O(rack) at 10k flows
   cfg.telemetry.samples_budget = row.budget;
   cfg.telemetry.mouse_period = row.mouse_period;
   cfg.obs = &hub;

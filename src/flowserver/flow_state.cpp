@@ -1,8 +1,6 @@
 #include "flowserver/flow_state.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <tuple>
 
 #include "common/assert.hpp"
 
@@ -13,7 +11,7 @@ FlowStateTable::FlowStateTable() {
 }
 
 void FlowStateTable::set_shard_map(net::ShardMap map) {
-  MAYFLOWER_ASSERT_MSG(size() == 0 && !tentative_.load(),
+  MAYFLOWER_ASSERT_MSG(size() == 0,
                        "install the shard map before tracking flows");
   shard_map_ = std::move(map);
   shards_.clear();
@@ -25,7 +23,6 @@ void FlowStateTable::set_shard_map(net::ShardMap map) {
 }
 
 FlowStateTable::Shard* FlowStateTable::shard_for(sdn::Cookie cookie) const {
-  if (shards_.size() == 1) return shards_[0].get();
   common::MutexLock lock(route_mu_);
   const auto it = route_.find(cookie);
   return it == route_.end() ? nullptr : shards_[it->second].get();
@@ -34,19 +31,15 @@ FlowStateTable::Shard* FlowStateTable::shard_for(sdn::Cookie cookie) const {
 void FlowStateTable::add(sdn::Cookie cookie, net::Path path,
                          double size_bytes, double est_bw_bps,
                          sim::SimTime now) {
+  MAYFLOWER_ASSERT(size_bytes > 0.0 && est_bw_bps > 0.0);
   const std::uint32_t s = shard_map_.shard_of_path(path);
-  if (shards_.size() > 1) {
+  {
     common::MutexLock route_lock(route_mu_);
-    MAYFLOWER_ASSERT_MSG(route_.find(cookie) == route_.end(),
-                         "cookie already tracked");
-    route_.emplace(cookie, s);
+    const bool fresh = route_.emplace(cookie, s).second;
+    MAYFLOWER_ASSERT_MSG(fresh, "cookie already tracked");
   }
   Shard& sh = *shards_[s];
   common::MutexLock lock(sh.mu);
-  MAYFLOWER_ASSERT_MSG(sh.flows.find(cookie) == sh.flows.end(),
-                       "cookie already tracked");
-  MAYFLOWER_ASSERT(size_bytes > 0.0 && est_bw_bps > 0.0);
-  record_undo(sh, cookie);
   ++sh.version;
   TrackedFlow f;
   f.cookie = cookie;
@@ -59,8 +52,7 @@ void FlowStateTable::add(sdn::Cookie cookie, net::Path path,
     f.frozen = true;
     f.freeze_until = now + sim::SimTime::from_seconds(size_bytes / est_bw_bps);
   }
-  const auto it = sh.flows.emplace(cookie, std::move(f)).first;
-  sh.index.add(cookie, it->second.path.links);
+  sh.flows.emplace(cookie, std::move(f));
   if (trace_ != nullptr) {
     trace_->flow_planned(cookie, now.seconds(), size_bytes, est_bw_bps);
   }
@@ -104,15 +96,11 @@ void FlowStateTable::drop(sdn::Cookie cookie) {
     common::MutexLock lock(sh->mu);
     const auto it = sh->flows.find(cookie);
     if (it == sh->flows.end()) return;
-    record_undo(*sh, cookie);
     ++sh->version;
-    sh->index.remove(cookie, it->second.path.links);
     sh->flows.erase(it);
   }
-  if (shards_.size() > 1) {
-    common::MutexLock route_lock(route_mu_);
-    route_.erase(cookie);
-  }
+  common::MutexLock route_lock(route_mu_);
+  route_.erase(cookie);
 }
 
 const TrackedFlow* FlowStateTable::find(sdn::Cookie cookie) const {
@@ -155,7 +143,6 @@ void FlowStateTable::setbw(sdn::Cookie cookie, double bw_bps,
   const auto it = sh->flows.find(cookie);
   MAYFLOWER_ASSERT_MSG(it != sh->flows.end(), "setbw on unknown flow");
   MAYFLOWER_ASSERT(bw_bps > 0.0);
-  record_undo(*sh, cookie);
   ++sh->version;
   TrackedFlow& f = it->second;
   f.bw_bps = bw_bps;
@@ -175,7 +162,6 @@ void FlowStateTable::resize(sdn::Cookie cookie, double new_size_bytes,
   const auto it = sh->flows.find(cookie);
   MAYFLOWER_ASSERT_MSG(it != sh->flows.end(), "resize on unknown flow");
   MAYFLOWER_ASSERT(new_size_bytes > 0.0);
-  record_undo(*sh, cookie);
   ++sh->version;
   TrackedFlow& f = it->second;
   f.size_bytes = new_size_bytes;
@@ -195,7 +181,6 @@ void FlowStateTable::update_from_stats(sdn::Cookie cookie,
   common::MutexLock lock(sh->mu);
   const auto it = sh->flows.find(cookie);
   if (it == sh->flows.end()) return;
-  record_undo(*sh, cookie);
   ++sh->version;
   TrackedFlow& f = it->second;
 
@@ -226,156 +211,9 @@ void FlowStateTable::update_from_stats(sdn::Cookie cookie,
   }
 }
 
-std::vector<const TrackedFlow*> FlowStateTable::collect_sorted(
-    std::vector<std::pair<sdn::Cookie, const TrackedFlow*>> hits) const {
-  std::sort(hits.begin(), hits.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<const TrackedFlow*> out;
-  out.reserve(hits.size());
-  for (const auto& [cookie, f] : hits) out.push_back(f);
-  return out;
-}
-
-std::vector<const TrackedFlow*> FlowStateTable::flows_on_link(
-    net::LinkId link) const {
-  if (shards_.size() == 1) {
-    const Shard& sh = *shards_[0];
-    common::MutexLock lock(sh.mu);
-    std::vector<const TrackedFlow*> out;
-    const std::vector<net::LinkIndex::Key>& keys = sh.index.on_link(link);
-    out.reserve(keys.size());
-    for (const net::LinkIndex::Key k : keys) {
-      out.push_back(&sh.flows.at(k));
-    }
-    return out;
-  }
-  // Core/agg links carry flows from many shards; each shard's index keeps
-  // its keys ascending, so a merge-and-sort restores the global cookie
-  // order the unsharded table returned.
-  std::vector<std::pair<sdn::Cookie, const TrackedFlow*>> hits;
-  for (const auto& sh : shards_) {
-    common::MutexLock lock(sh->mu);
-    for (const net::LinkIndex::Key k : sh->index.on_link(link)) {
-      hits.emplace_back(k, &sh->flows.at(k));
-    }
-  }
-  return collect_sorted(std::move(hits));
-}
-
-std::vector<const TrackedFlow*> FlowStateTable::flows_on_path(
-    const net::Path& path) const {
-  if (shards_.size() == 1) {
-    const Shard& sh = *shards_[0];
-    common::MutexLock lock(sh.mu);
-    std::vector<const TrackedFlow*> out;
-    const std::vector<net::LinkIndex::Key> keys =
-        sh.index.on_links(path.links);
-    out.reserve(keys.size());
-    for (const net::LinkIndex::Key k : keys) {
-      out.push_back(&sh.flows.at(k));
-    }
-    return out;
-  }
-  std::vector<std::pair<sdn::Cookie, const TrackedFlow*>> hits;
-  for (const auto& sh : shards_) {
-    common::MutexLock lock(sh->mu);
-    for (const net::LinkIndex::Key k : sh->index.on_links(path.links)) {
-      hits.emplace_back(k, &sh->flows.at(k));
-    }
-  }
-  return collect_sorted(std::move(hits));
-}
-
-void FlowStateTable::begin_tentative() {
-  MAYFLOWER_ASSERT_MSG(!tentative_.load(), "tentative scopes do not nest");
-  for (const auto& sh : shards_) {
-    common::MutexLock lock(sh->mu);
-    sh->undo.clear();
-  }
-  tentative_.store(true);
-}
-
-void FlowStateTable::commit_tentative() {
-  MAYFLOWER_ASSERT_MSG(tentative_.load(), "no tentative scope open");
-  tentative_.store(false);
-  for (const auto& sh : shards_) {
-    common::MutexLock lock(sh->mu);
-    sh->undo.clear();
-  }
-}
-
-void FlowStateTable::rollback_tentative() {
-  MAYFLOWER_ASSERT_MSG(tentative_.load(), "no tentative scope open");
-  // shard id, cookie, present-after-restore: route fixups applied below.
-  std::vector<std::tuple<std::uint32_t, sdn::Cookie, bool>> route_fix;
-  bool touched = false;
-  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    Shard& sh = *shards_[s];
-    common::MutexLock lock(sh.mu);
-    if (sh.undo.empty()) continue;
-    touched = true;
-    for (auto it = sh.undo.rbegin(); it != sh.undo.rend(); ++it) {
-      auto& [cookie, prior] = *it;
-      const auto cur = sh.flows.find(cookie);
-      if (cur != sh.flows.end()) {
-        sh.index.remove(cookie, cur->second.path.links);
-        sh.flows.erase(cur);
-      }
-      if (prior.has_value()) {
-        const auto ins = sh.flows.emplace(cookie, std::move(*prior)).first;
-        sh.index.add(cookie, ins->second.path.links);
-      } else if (trace_ != nullptr) {
-        // The scope inserted this entry; rolling back abandons the planned
-        // flow (a rejected multi-read leg) — close its trace record.
-        trace_->flow_abandoned(cookie);
-      }
-      if (shards_.size() > 1) {
-        route_fix.emplace_back(s, cookie, prior.has_value());
-      }
-    }
-    ++sh.version;  // only shards the scope touched move
-    sh.undo.clear();
-  }
-  if (!touched) {
-    // Legacy contract: a rollback always advances the table version, even
-    // when the scope mutated nothing.
-    common::MutexLock lock(shards_[0]->mu);
-    ++shards_[0]->version;
-  }
-  if (!route_fix.empty()) {
-    common::MutexLock route_lock(route_mu_);
-    for (const auto& [s, cookie, present] : route_fix) {
-      if (present) {
-        route_[cookie] = s;
-      } else {
-        route_.erase(cookie);
-      }
-    }
-  }
-  tentative_.store(false);
-}
-
-std::size_t FlowStateTable::tentative_touched() const {
-  std::size_t n = 0;
-  for (const auto& sh : shards_) {
-    common::MutexLock lock(sh->mu);
-    n += sh->undo.size();
-  }
-  return n;
-}
-
 void FlowStateTable::snapshot_into(net::NetworkView& view) const {
-  for (const auto& sh : shards_) {
-    common::MutexLock lock(sh->mu);
-    for (const auto& [cookie, f] : sh->flows) {
-      net::NetworkView::Flow v;
-      v.key = cookie;
-      v.path = f.path;
-      v.size_bytes = f.size_bytes;
-      v.remaining_bytes = f.remaining_bytes;
-      v.bw_bps = f.bw_bps;
-      view.load_flow(std::move(v));
-    }
+  for (std::uint32_t s = 0; s < shard_count(); ++s) {
+    snapshot_shard_into(view, s);
   }
 }
 
@@ -392,19 +230,6 @@ void FlowStateTable::snapshot_shard_into(net::NetworkView& view,
     v.remaining_bytes = f.remaining_bytes;
     v.bw_bps = f.bw_bps;
     view.load_flow(std::move(v));
-  }
-}
-
-void FlowStateTable::record_undo(Shard& sh, sdn::Cookie cookie) {
-  if (!tentative_.load()) return;
-  for (const auto& [seen, prior] : sh.undo) {
-    if (seen == cookie) return;  // first-touch state already captured
-  }
-  const auto it = sh.flows.find(cookie);
-  if (it == sh.flows.end()) {
-    sh.undo.emplace_back(cookie, std::nullopt);
-  } else {
-    sh.undo.emplace_back(cookie, it->second);
   }
 }
 

@@ -9,34 +9,24 @@
 //
 // The table is PARTITIONED BY EDGE SWITCH (net::ShardMap): every flow lives
 // in the shard of its source host's edge switch — the same key the fabric's
-// per-edge poll index uses — under that shard's own mutex, flow map, link
-// index and version counter. A poll of edge E or a drop of an E-sourced flow
-// moves only shard E's version, so a snapshot consumer reloads one shard
-// instead of the whole table. The default layout is a single shard (the
-// legacy global table) with identical semantics and no routing overhead.
+// per-edge poll index uses — under that shard's own mutex, flow map and
+// version counter. A poll of edge E or a drop of an E-sourced flow moves
+// only shard E's version, so a snapshot consumer reloads one shard instead
+// of the whole table. A default-constructed table has one shard.
 //
-// A per-link reverse index (net::LinkIndex) per shard keeps flows_on_link /
-// flows_on_path at O(flows actually crossing the links); with multiple
-// shards the per-shard results are merged in cookie order, so the answer is
-// byte-identical to the unsharded table's.
-//
-// Tentative mutations for the multi-read planner (§4.3) are supported by a
-// bounded undo log per shard: begin_tentative() starts recording the prior
-// state of each mutated entry (first touch only), rollback_tentative()
-// restores them in O(touched), bumping only the versions of shards the
-// scope actually touched. The table itself is intentionally non-copyable.
+// The table answers no "who crosses this link?" queries: decisions read the
+// NetworkView snapshot built from it, which keeps the per-link index. Every
+// mutation here is final — planning that must be undone (a rejected
+// multi-read leg, §4.3) happens on a view, never on the table. The table
+// itself is intentionally non-copyable.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "common/sync.hpp"
-#include "net/link_index.hpp"
 #include "net/network_view.hpp"
 #include "net/paths.hpp"
 #include "net/shard_map.hpp"
@@ -67,7 +57,7 @@ class FlowStateTable {
   FlowStateTable& operator=(const FlowStateTable&) = delete;
 
   // Installs the edge-switch partition. Must run at wiring time, before any
-  // flow is tracked; the default single-shard layout needs no call.
+  // flow is tracked.
   void set_shard_map(net::ShardMap map);
   std::uint32_t shard_count() const {
     return static_cast<std::uint32_t>(shards_.size());
@@ -101,8 +91,7 @@ class FlowStateTable {
   bool freeze_enabled() const { return freeze_enabled_; }
 
   // Attaches the flow tracer (plan registrations, resizes, SETBW, freeze
-  // suppressions, abandoned tentative legs) and the freeze-suppression
-  // counter. Null detaches.
+  // suppressions) and the freeze-suppression counter. Null detaches.
   void set_obs(obs::Observability* hub);
 
   // Entries whose share is a frozen estimate at `now` (freeze not expired).
@@ -117,7 +106,7 @@ class FlowStateTable {
 
   // Monotonic mutation counter: the sum of every shard's version, bumped by
   // every state-changing operation (add/drop/setbw/resize/
-  // update_from_stats/rollback). A NetworkView built from this table is
+  // update_from_stats). A NetworkView built from this table is
   // stale once version() moves past the value recorded at build time —
   // unless the mutations were the decision batch's own write-through
   // commits, which the Flowserver accounts for.
@@ -135,51 +124,19 @@ class FlowStateTable {
   // view.unload_shard(s)).
   void snapshot_shard_into(net::NetworkView& view, std::uint32_t s) const;
 
-  // Flows crossing `link`, in cookie order (deterministic). O(flows on link)
-  // per shard holding any.
-  std::vector<const TrackedFlow*> flows_on_link(net::LinkId link) const;
-
-  // All flows crossing any link of `path`, deduplicated, cookie order.
-  std::vector<const TrackedFlow*> flows_on_path(const net::Path& path) const;
-
-  // --- tentative mutation scope (multi-read planning, §4.3) --------------
-  //
-  // Between begin_tentative() and commit/rollback, every mutation records
-  // the entry's prior state on first touch, in the undo log of the entry's
-  // OWN shard. rollback_tentative() restores exactly those entries
-  // (insertions removed, drops re-inserted, updates reverted) in O(touched),
-  // bumping only the touched shards' versions; commit_tentative() discards
-  // the logs. Scopes do not nest.
-  void begin_tentative();
-  void commit_tentative();
-  void rollback_tentative();
-  bool tentative_active() const { return tentative_.load(); }
-  // Entries the open scope has touched so far (log length; bounds rollback).
-  std::size_t tentative_touched() const;
-
  private:
   // One partition of the table. All hot state sits behind the shard's own
   // mutex so workers touching disjoint shards never contend.
   struct Shard {
     mutable common::Mutex mu;
     std::map<sdn::Cookie, TrackedFlow> flows GUARDED_BY(mu);
-    net::LinkIndex index GUARDED_BY(mu);  // link -> cookies crossing it
     std::uint64_t version GUARDED_BY(mu) = 0;
     std::uint64_t freeze_suppressed GUARDED_BY(mu) = 0;
-    std::vector<std::pair<sdn::Cookie, std::optional<TrackedFlow>>> undo
-        GUARDED_BY(mu);
   };
 
-  // The shard a cookie routes to; shard 0 always when unsharded. Returns
-  // nullptr for cookies the table does not track (sharded lookups only —
-  // the single-shard layout resolves unknown cookies inside the shard).
+  // The shard a cookie routes to, or nullptr for cookies the table does not
+  // track.
   Shard* shard_for(sdn::Cookie cookie) const;
-  // Records `cookie`'s current state (or absence) in shard `s`'s undo log
-  // before its first mutation inside an open tentative scope.
-  void record_undo(Shard& s, sdn::Cookie cookie) REQUIRES(s.mu);
-  // Sorted-by-cookie merge used by flows_on_link / flows_on_path.
-  std::vector<const TrackedFlow*> collect_sorted(
-      std::vector<std::pair<sdn::Cookie, const TrackedFlow*>> hits) const;
 
   // Concurrency: the table is written only by the control thread (commits,
   // polls, drops); decision workers read the immutable NetworkView snapshot,
@@ -192,20 +149,13 @@ class FlowStateTable {
   net::ShardMap shard_map_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Cookie -> shard routing (sharded layouts only; a single shard routes
-  // everything to shard 0 without touching this map).
+  // Cookie -> shard routing.
   mutable common::Mutex route_mu_;
   std::map<sdn::Cookie, std::uint32_t> route_ GUARDED_BY(route_mu_);
 
   bool freeze_enabled_ = true;  // set once at wiring time
   obs::FlowTracer* trace_ = nullptr;  // set once at wiring time
   obs::Counter freeze_suppressed_;
-
-  // Tentative scope flag. Atomic rather than mutex-guarded: it is flipped
-  // only between shard operations by the control thread, and read inside
-  // shard-locked mutation paths — guarding it with route_mu_ would invert
-  // the route-before-shard lock order.
-  std::atomic<bool> tentative_{false};
 };
 
 }  // namespace mayflower::flowserver

@@ -21,22 +21,12 @@ Flowserver::Flowserver(sdn::SdnFabric& fabric, FlowserverConfig config)
       rng_(config.seed),
       telemetry_(config.telemetry) {
   MAYFLOWER_ASSERT_MSG(config_.batch_size >= 1, "batch_size must be >= 1");
+  MAYFLOWER_ASSERT_MSG(config_.decision_threads >= 1,
+                       "decision_threads must be >= 1");
+  MAYFLOWER_ASSERT_MSG(config_.poll_groups >= 1, "poll_groups must be >= 1");
   table_.set_freeze_enabled(config.freeze_enabled);
   selector_.set_impact_aware(config.impact_aware);
   selector_.model().set_zero_hop_bps(config.zero_hop_bps);
-  if (config_.obs != nullptr) {
-    table_.set_obs(config_.obs);
-    poller_.set_metrics(&config_.obs->metrics);
-    selections_metric_ = config_.obs->metrics.counter("flowserver.selections");
-    split_reads_metric_ =
-        config_.obs->metrics.counter("flowserver.split_reads");
-    // Per-cycle work: counter samples applied in one collection cycle. In a
-    // deterministic simulation this is what "poll tick latency" means — the
-    // wall-clock cost is O(samples) through the per-edge index.
-    poll_samples_hist_ = config_.obs->metrics.histogram(
-        "flowserver.poll.samples_per_tick",
-        {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0});
-  }
   // Failure awareness: a killed transfer's (frozen) estimate must expire —
   // its bandwidth is free again and SETBW state for it would be stale
   // forever. Path liveness itself reaches decisions through the view's
@@ -59,43 +49,41 @@ Flowserver::Flowserver(sdn::SdnFabric& fabric, FlowserverConfig config)
   }
   // State-plane sharding: one shard per edge switch (the same edge set the
   // poll sweep above discovered), installed into the empty table and view.
-  if (config_.shard_by_edge) {
-    net::ShardMap map = net::ShardMap::by_edge_switch(topo);
-    sharded_ = map.sharded();
-    table_.set_shard_map(map);
-    view_.set_shard_map(std::move(map));
-  }
-  MAYFLOWER_ASSERT_MSG(config_.poll_groups >= 1, "poll_groups must be >= 1");
+  net::ShardMap map = net::ShardMap::by_edge_switch(topo);
+  table_.set_shard_map(map);
+  view_.set_shard_map(std::move(map));
   if (config_.poll_groups > 1) {
     poller_.set_groups(static_cast<std::uint32_t>(config_.poll_groups));
   }
-  if (config_.obs != nullptr && telemetry_.active()) {
-    // Registered only when the adaptive layer is on: a default run's metrics
-    // JSON must stay byte-identical to the pre-telemetry baseline.
-    poll_applied_metric_ =
-        config_.obs->metrics.counter("flowserver.poll.applied");
-    poll_deferred_mouse_metric_ =
-        config_.obs->metrics.counter("flowserver.poll.deferred_mouse");
-    poll_deferred_budget_metric_ =
-        config_.obs->metrics.counter("flowserver.poll.deferred_budget");
-    poll_promotions_metric_ =
-        config_.obs->metrics.counter("flowserver.poll.promotions");
-    poll_demotions_metric_ =
-        config_.obs->metrics.counter("flowserver.poll.demotions");
-    poll_elephants_gauge_ =
-        config_.obs->metrics.gauge("flowserver.poll.elephants");
-    poll_mice_gauge_ = config_.obs->metrics.gauge("flowserver.poll.mice");
-  }
-  if (config_.obs != nullptr && config_.shard_metrics) {
-    config_.obs->metrics.gauge("flowserver.shard.count")
-        .set(static_cast<double>(table_.shard_count()));
-    full_rebuilds_metric_ =
-        config_.obs->metrics.counter("flowserver.shard.full_rebuilds");
-    shard_reloads_metric_ =
-        config_.obs->metrics.counter("flowserver.shard.reloads");
-    link_refreshes_metric_ =
-        config_.obs->metrics.counter("flowserver.shard.link_refreshes");
-  }
+  if (config_.obs == nullptr) return;
+  obs::MetricsRegistry& m = config_.obs->metrics;
+  table_.set_obs(config_.obs);
+  poller_.set_metrics(&m);
+  selections_metric_ = m.counter("flowserver.selections");
+  split_reads_metric_ = m.counter("flowserver.split_reads");
+  // Per-cycle work: counter samples applied in one collection cycle. In a
+  // deterministic simulation this is what "poll tick latency" means — the
+  // wall-clock cost is O(samples) through the per-edge index.
+  poll_samples_hist_ = m.histogram(
+      "flowserver.poll.samples_per_tick",
+      {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0});
+  poll_applied_metric_ = m.counter("flowserver.poll.applied");
+  poll_deferred_mouse_metric_ = m.counter("flowserver.poll.deferred_mouse");
+  poll_deferred_budget_metric_ = m.counter("flowserver.poll.deferred_budget");
+  poll_promotions_metric_ = m.counter("flowserver.poll.promotions");
+  poll_demotions_metric_ = m.counter("flowserver.poll.demotions");
+  poll_elephants_gauge_ = m.gauge("flowserver.poll.elephants");
+  poll_mice_gauge_ = m.gauge("flowserver.poll.mice");
+  m.gauge("flowserver.shard.count")
+      .set(static_cast<double>(table_.shard_count()));
+  full_rebuilds_metric_ = m.counter("flowserver.shard.full_rebuilds");
+  shard_reloads_metric_ = m.counter("flowserver.shard.reloads");
+  link_refreshes_metric_ = m.counter("flowserver.shard.link_refreshes");
+  write_chains_metric_ = m.counter("flowserver.write.chains");
+  write_hops_metric_ = m.counter("flowserver.write.hops");
+  write_truncated_metric_ = m.counter("flowserver.write.truncated");
+  write_bottleneck_hist_ = m.histogram("flowserver.write.bottleneck_bps",
+                                       {1e6, 1e7, 1e8, 1e9, 1e10});
 }
 
 void Flowserver::start() { poller_.start(); }
@@ -108,10 +96,6 @@ bool Flowserver::view_stale() const {
 }
 
 void Flowserver::absorb_table_versions() {
-  if (!sharded_) {
-    seen_table_version_ = table_.version();
-    return;
-  }
   std::uint64_t sum = 0;
   for (std::uint32_t s = 0; s < table_.shard_count(); ++s) {
     const std::uint64_t v = table_.shard_version(s);
@@ -122,9 +106,9 @@ void Flowserver::absorb_table_versions() {
 }
 
 void Flowserver::refresh_view() {
-  if (!sharded_ || !view_built_) {
-    // Full rebuild: the legacy path, and a sharded server's first build (or
-    // a manual invalidate — the shard stamps can no longer be trusted).
+  if (!view_built_) {
+    // Full rebuild: the first build, or a manual invalidate (the shard
+    // stamps can no longer be trusted).
     view_.reset_links(fabric_->topology());
     fabric_->snapshot_liveness_into(view_);
     if (monitor_ != nullptr) monitor_->snapshot_into(view_);
@@ -133,11 +117,11 @@ void Flowserver::refresh_view() {
     ++full_rebuilds_;
     full_rebuilds_metric_.inc();
   } else {
-    // Incremental sharded refresh: overlay the link sections only if the
-    // fabric epoch or the rate monitor moved (O(links), no flow copying),
-    // then reload exactly the flow shards whose table version ran past the
-    // stamp this view holds. Queries on the result are byte-identical to a
-    // full rebuild's: the flows map and link index are global and the index
+    // Incremental refresh: overlay the link sections only if the fabric
+    // epoch or the rate monitor moved (O(links), no flow copying), then
+    // reload exactly the flow shards whose table version ran past the stamp
+    // this view holds. Queries on the result are byte-identical to a full
+    // rebuild's: the flows map and link index are global and the index
     // keeps keys sorted, so reload order cannot leak into answers.
     const bool links_stale =
         fabric_->state_epoch() != seen_fabric_epoch_ ||
@@ -217,20 +201,6 @@ std::vector<net::NodeId> Flowserver::reachable_replicas(
   return live;
 }
 
-void Flowserver::ensure_write_metrics() {
-  if (write_metrics_registered_ || config_.obs == nullptr) return;
-  write_metrics_registered_ = true;
-  // Registered only once a chain is actually planned: a run that never
-  // writes keeps its metrics JSON byte-identical to the read-only baseline.
-  write_chains_metric_ = config_.obs->metrics.counter("flowserver.write.chains");
-  write_hops_metric_ = config_.obs->metrics.counter("flowserver.write.hops");
-  write_truncated_metric_ =
-      config_.obs->metrics.counter("flowserver.write.truncated");
-  write_bottleneck_hist_ = config_.obs->metrics.histogram(
-      "flowserver.write.bottleneck_bps",
-      {1e6, 1e7, 1e8, 1e9, 1e10});
-}
-
 std::vector<ReadAssignment> Flowserver::finish_chain(
     const std::vector<ChainHopPlan>& plans,
     const std::vector<sdn::Cookie>& cookies, std::size_t requested_hops,
@@ -256,82 +226,6 @@ std::vector<ReadAssignment> Flowserver::finish_chain(
     write_bottleneck_hist_.observe(plans[0].planned_bps);
     audit_decision(stats, plans[0].candidate.cost, now, false);
   }
-  return out;
-}
-
-std::vector<ReadAssignment> Flowserver::decide(PendingRead& req,
-                                               sim::SimTime now) {
-  // Every answered request counts as one selection — including the ones the
-  // view proves unserviceable (kUnavailable).
-  ++selections_;
-  selections_metric_.inc();
-  if (req.replicas.empty()) return {};
-
-  if (req.write) {
-    ensure_write_metrics();
-    // Hop cookies are drawn up front — all of them, even when a later hop
-    // proves unreachable — so the Rng/cookie streams match the snapshot
-    // pipeline's pre-phase draw exactly.
-    std::vector<sdn::Cookie> cookies;
-    cookies.reserve(req.replicas.size() - 1);
-    for (std::size_t i = 0; i + 1 < req.replicas.size(); ++i) {
-      cookies.push_back(fabric_->new_cookie());
-    }
-    SelectStats stats;
-    const auto plans = chain_planner_.plan_and_commit(
-        view_, req.replicas, units::Bytes{req.bytes}, cookies, now, &stats);
-    return finish_chain(plans, cookies, cookies.size(), req.bytes, stats, now);
-  }
-
-  const net::NodeId client = req.client;
-  const std::vector<net::NodeId>* replicas = &req.replicas;
-  std::vector<net::NodeId> chosen_replica;
-  if (req.chooser != nullptr) {
-    // External replica policy: it sees only replicas the view can reach, so
-    // a policy blind to faults never strands the request on a dead subtree.
-    const std::vector<net::NodeId> live =
-        reachable_replicas(client, req.replicas);
-    if (live.empty()) return {};
-    chosen_replica.assign(1, req.chooser(client, live, view_));
-    replicas = &chosen_replica;
-  }
-
-  std::vector<ReadAssignment> out;
-  SelectStats stats;
-  if (config_.multiread_enabled && req.chooser == nullptr &&
-      replicas->size() > 1) {
-    const std::vector<sdn::Cookie> cookies{fabric_->new_cookie(),
-                                           fabric_->new_cookie()};
-    const auto plans = planner_.plan_and_commit(view_, client, *replicas,
-                                                req.bytes, cookies, now,
-                                                &stats);
-    if (plans.size() == 2) {
-      ++split_reads_;
-      split_reads_metric_.inc();
-      if (config_.obs != nullptr) {
-        config_.obs->trace.mark_split(cookies[0]);
-        config_.obs->trace.mark_split(cookies[1]);
-      }
-    }
-    for (std::size_t i = 0; i < plans.size(); ++i) {
-      out.push_back(
-          to_assignment(plans[i].candidate, cookies[i], plans[i].bytes));
-    }
-    if (!plans.empty()) {
-      audit_decision(stats, plans[0].candidate.cost, now, plans.size() == 2);
-    }
-  } else {
-    const auto best =
-        selector_.select(view_, client, *replicas, req.bytes, &stats);
-    if (best.has_value()) {
-      const sdn::Cookie cookie = fabric_->new_cookie();
-      selector_.commit(view_, *best, cookie, req.bytes, now);
-      out.push_back(to_assignment(*best, cookie, req.bytes));
-      audit_decision(stats, best->cost, now, false);
-    }
-  }
-  // Empty result: every replica is unreachable right now (failed links or
-  // switches). The caller surfaces kUnavailable and retries after backoff.
   return out;
 }
 
@@ -458,16 +352,7 @@ std::size_t Flowserver::drain() {
 
   std::vector<Decided> results;
   results.reserve(batch.size());
-  if (config_.decision_threads == 0) {
-    for (PendingRead& req : batch) {
-      Decided d;
-      d.done = std::move(req.done);
-      d.plan = decide(req, now);
-      results.push_back(std::move(d));
-    }
-  } else {
-    decide_snapshot_batch(batch, now, results);
-  }
+  decide_batch(batch, now, results);
 
   // Bulk path install: one fabric call, one install-metrics flush for the
   // whole batch. Must precede the callbacks — they start the flows.
@@ -490,9 +375,9 @@ std::size_t Flowserver::drain() {
   return batch.size();
 }
 
-void Flowserver::decide_snapshot_batch(std::deque<PendingRead>& batch,
-                                       sim::SimTime now,
-                                       std::vector<Decided>& results) {
+void Flowserver::decide_batch(std::deque<PendingRead>& batch,
+                              sim::SimTime now,
+                              std::vector<Decided>& results) {
   // --- pre-phase (serial, batch order) ----------------------------------
   // Everything order-sensitive that is NOT the evaluation itself happens
   // here: chooser policies run against the batch view, and multiread slots
@@ -510,11 +395,10 @@ void Flowserver::decide_snapshot_batch(std::deque<PendingRead>& batch,
     }
     if (req.write) {
       // Write slots pre-draw every hop cookie here — cookie assignment must
-      // not depend on which worker evaluates the chain, and the legacy
-      // pipeline burns the same draws even for hops that go unrouted.
+      // not depend on which worker evaluates the chain — burning the draws
+      // even for hops that go unrouted.
       s.write = true;
       s.replicas = req.replicas;
-      ensure_write_metrics();
       s.cookies.reserve(s.replicas.size() - 1);
       for (std::size_t h = 0; h + 1 < s.replicas.size(); ++h) {
         s.cookies.push_back(fabric_->new_cookie());
@@ -539,32 +423,40 @@ void Flowserver::decide_snapshot_batch(std::deque<PendingRead>& batch,
   }
 
   // --- evaluate (parallel, against the immutable batch view) ------------
-  // Single-path slots read view_ directly (select() is pure). Multiread
-  // slots plan on a worker-private scratch copy, restored after every slot,
-  // so each slot sees exactly the batch-start state regardless of which
-  // worker runs it or in what order — that is the determinism argument.
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<common::WorkerPool>(config_.decision_threads);
+  // Single-path slots read view_ directly (select() is pure). Multiread and
+  // write slots plan inside a view tentative scope that plan_readonly rolls
+  // back, so each slot sees exactly the batch-start state regardless of
+  // which worker runs it or in what order — that is the determinism
+  // argument. One worker plans on view_ itself; a pool gives each worker a
+  // scratch copy of it.
+  const auto evaluate = [this, &slots](net::NetworkView& scratch,
+                                       std::size_t i) {
+    Slot& s = slots[i];
+    if (s.unavailable) return;
+    if (s.write) {
+      s.chain = chain_planner_.plan_readonly(
+          scratch, s.replicas, units::Bytes{s.bytes}, s.cookies, &s.stats);
+    } else if (s.multiread) {
+      s.plans = planner_.plan_readonly(scratch, s.client, s.replicas, s.bytes,
+                                       s.cookies, &s.stats);
+    } else {
+      s.best = selector_.select(view_, s.client, s.replicas, s.bytes,
+                                &s.stats);
+    }
+  };
+  if (config_.decision_threads == 1) {
+    for (std::size_t i = 0; i < slots.size(); ++i) evaluate(view_, i);
+  } else {
+    if (pool_ == nullptr) {
+      pool_ = std::make_unique<common::WorkerPool>(config_.decision_threads);
+    }
+    std::vector<net::NetworkView> scratch(config_.decision_threads, view_);
+    pool_->parallel_for(slots.size(),
+                        [&evaluate, &scratch](std::size_t worker,
+                                              std::size_t i) {
+                          evaluate(scratch[worker], i);
+                        });
   }
-  std::vector<net::NetworkView> scratch(config_.decision_threads, view_);
-  pool_->parallel_for(
-      slots.size(), [this, &slots, &scratch](std::size_t worker,
-                                             std::size_t i) {
-        Slot& s = slots[i];
-        if (s.unavailable) return;
-        if (s.write) {
-          s.chain = chain_planner_.plan_readonly(scratch[worker], s.replicas,
-                                                 units::Bytes{s.bytes},
-                                                 s.cookies, &s.stats);
-        } else if (s.multiread) {
-          s.plans = planner_.plan_readonly(scratch[worker], s.client,
-                                           s.replicas, s.bytes, s.cookies,
-                                           &s.stats);
-        } else {
-          s.best = selector_.select(view_, s.client, s.replicas, s.bytes,
-                                    &s.stats);
-        }
-      });
 
   // --- replay (serial, batch order) --------------------------------------
   // Commits write through table + view with the usual stale-share clamp, so
@@ -589,40 +481,26 @@ void Flowserver::decide_snapshot_batch(std::deque<PendingRead>& batch,
       continue;
     }
     if (s.multiread) {
-      if (s.plans.size() == 2) {
-        // Same commit transcript as the legacy split acceptance: both
-        // subflows land with the full request size, then subflow 1 takes
-        // its adjusted share and both take their split sizes.
-        selector_.commit(view_, s.plans[0].candidate, s.cookies[0], s.bytes,
-                         now);
-        selector_.commit(view_, s.plans[1].candidate, s.cookies[1], s.bytes,
-                         now);
-        selector_.setbw(view_, s.cookies[0], s.plans[0].planned_bps, now);
-        selector_.resize(view_, s.cookies[0], s.plans[0].bytes, now);
-        selector_.resize(view_, s.cookies[1], s.plans[1].bytes, now);
+      planner_.commit_plans(view_, s.plans, s.bytes, s.cookies, now);
+      const bool split = s.plans.size() == 2;
+      if (split) {
         ++split_reads_;
         split_reads_metric_.inc();
         if (config_.obs != nullptr) {
           config_.obs->trace.mark_split(s.cookies[0]);
           config_.obs->trace.mark_split(s.cookies[1]);
         }
-        d.plan.push_back(
-            to_assignment(s.plans[0].candidate, s.cookies[0],
-                          s.plans[0].bytes));
-        d.plan.push_back(
-            to_assignment(s.plans[1].candidate, s.cookies[1],
-                          s.plans[1].bytes));
-        audit_decision(s.stats, s.plans[0].candidate.cost, now, true);
-      } else if (s.plans.size() == 1) {
-        selector_.commit(view_, s.plans[0].candidate, s.cookies[0], s.bytes,
-                         now);
-        d.plan.push_back(
-            to_assignment(s.plans[0].candidate, s.cookies[0], s.bytes));
-        audit_decision(s.stats, s.plans[0].candidate.cost, now, false);
+      }
+      for (std::size_t k = 0; k < s.plans.size(); ++k) {
+        d.plan.push_back(to_assignment(s.plans[k].candidate, s.cookies[k],
+                                       s.plans[k].bytes));
+      }
+      if (!s.plans.empty()) {
+        audit_decision(s.stats, s.plans[0].candidate.cost, now, split);
       }
     } else if (s.best.has_value()) {
-      // Single-path slots draw their cookie at replay (in batch order),
-      // matching the legacy pipeline's draw-on-success behavior.
+      // Single-path slots draw their cookie at replay, in batch order, and
+      // only on success.
       const sdn::Cookie cookie = fabric_->new_cookie();
       selector_.commit(view_, *s.best, cookie, s.bytes, now);
       d.plan.push_back(to_assignment(*s.best, cookie, s.bytes));
@@ -683,7 +561,7 @@ void Flowserver::collect_stats() {
   // Poll rotation: tick t sweeps the edges whose index lands in group
   // t mod poll_groups, so a full cycle of ticks covers every edge exactly
   // once and each tick stales only the swept edges' shards. poll_groups 1
-  // degenerates to the legacy full sweep.
+  // degenerates to one full sweep.
   const std::uint64_t groups = config_.poll_groups;
   const std::uint64_t group = (polls_ - 1) % groups;
   const std::uint64_t cycle = (polls_ - 1) / groups;
@@ -758,8 +636,8 @@ void Flowserver::collect_stats() {
           poll_deferred_budget_metric_.inc();
           continue;
         }
-        poll_applied_metric_.inc();
       }
+      poll_applied_metric_.inc();
       ++stats_samples_;
       table_.update_from_stats(rec.cookie, rec.bytes, now);
     }

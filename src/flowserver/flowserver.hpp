@@ -10,12 +10,14 @@
 //  * track flow add/drop requests in between polls so estimates stay usable
 //    without polling at very short intervals.
 //
-// Decisions run through a snapshot pipeline: requests enqueue, a decision
+// Decisions run through one snapshot pipeline: requests enqueue, a decision
 // batch drains them against ONE epoch-stamped NetworkView (rebuilt only when
-// a poll, drop or fault moved the underlying state), commits write through
-// to table and view, and all chosen paths are installed via the fabric's
-// bulk API with a single metrics flush. The synchronous entry points are
-// batches of one and decision-identical to the historical inline path.
+// a poll, drop or fault moved the underlying state, and then only the
+// edge-switch shards that went stale), every request is planned read-only
+// against that batch-start view, commits replay in batch order through to
+// table and view, and all chosen paths are installed via the fabric's bulk
+// API with a single metrics flush. The synchronous entry points are batches
+// of one.
 #pragma once
 
 #include <deque>
@@ -49,39 +51,25 @@ struct FlowserverConfig {
   // batch_size 1 keeps every entry point synchronous (batch-of-one).
   std::size_t batch_size = 1;
   sim::SimTime batch_window = sim::SimTime::from_millis(5.0);
-  // Decision parallelism. 0 (default) keeps the legacy serial pipeline:
-  // decisions write through the batch view as they are made, so decision i
-  // sees decision i-1. Any value >= 1 selects the snapshot pipeline:
-  // candidates are evaluated in parallel against the IMMUTABLE batch-start
-  // view (1 = inline on the control thread, N = a worker pool of N) and
-  // commits replay serially in batch order — decisions are byte-identical
-  // at every thread count by construction, and identical to the legacy
-  // pipeline whenever batches hold a single request.
-  std::size_t decision_threads = 0;
-  // State-plane sharding (the k >= 16 scale path): partition the flow table
-  // and the view's believed-flow section by source edge switch
-  // (net::ShardMap::by_edge_switch). A poll, drop or fault then stales only
-  // the shards it touched and the next rebuild reloads exactly those, so
-  // selection cost scales with flows per edge instead of cluster flows.
-  // Decisions are byte-identical to the unsharded layout — sharding changes
-  // which sections a rebuild copies, never what a query returns.
-  bool shard_by_edge = false;
+  // Decision parallelism, >= 1: every request of a batch is evaluated
+  // against the IMMUTABLE batch-start view (1 = inline on the control
+  // thread, N = a worker pool of N) and commits replay serially in batch
+  // order, so decisions are byte-identical at every thread count by
+  // construction. Within a batch, decision i does not see decision i-1 —
+  // only the commit replay's stale-share clamp does.
+  std::size_t decision_threads = 1;
   // Stats-poll rotation: split each poll_interval into this many staggered
   // ticks, each sweeping 1/poll_groups of the edge switches. Every edge is
   // still polled once per interval, but one tick stales only the shards of
-  // the edges it swept (pointless without shard_by_edge; 1 = legacy sweep).
+  // the edges it swept (1 = one full sweep per interval).
   std::size_t poll_groups = 1;
   // Adaptive budgeted telemetry (Floware-style, DESIGN.md §14): classify
   // flows as elephants vs mice from per-poll byte deltas, apply elephant
   // samples every cycle, mouse samples every telemetry.mouse_period cycles,
   // and at most telemetry.samples_budget samples per staggered tick. The
-  // default config keeps the layer inactive and the legacy full-rate sweep
-  // byte-identical.
+  // default config keeps the layer inactive: every sample applied every
+  // cycle.
   TelemetryConfig telemetry;
-  // Export the per-shard rebuild counters (flowserver.shard.*) into the
-  // metrics registry. Off by default so a sharded run's metrics JSON stays
-  // byte-identical to the unsharded baseline it is diffed against.
-  bool shard_metrics = false;
   // Optional observability hub (not owned): selection audits, freeze
   // suppression, poll-cycle work all land here. Null measures nothing.
   obs::Observability* obs = nullptr;
@@ -221,9 +209,10 @@ class Flowserver {
   // Forces the next view() to rebuild regardless of epochs.
   void invalidate_view() { view_built_ = false; }
 
-  // Sharded-refresh telemetry. An unsharded server only ever counts full
-  // rebuilds; a sharded one counts one full rebuild (the first build or a
-  // manual invalidate), then per-shard reloads and link-section refreshes.
+  // Refresh telemetry. The flow table and the view's believed-flow section
+  // are partitioned by source edge switch (net::ShardMap::by_edge_switch):
+  // a server counts one full rebuild (the first build or a manual
+  // invalidate), then per-shard reloads and link-section refreshes.
   std::uint32_t state_shards() const { return table_.shard_count(); }
   std::uint64_t full_view_rebuilds() const { return full_rebuilds_; }
   std::uint64_t shard_reloads() const { return shard_reloads_; }
@@ -293,7 +282,7 @@ class Flowserver {
     std::vector<ReadAssignment> plan;
   };
 
-  // One batch slot of the snapshot pipeline. The serial pre-phase fills the
+  // One batch slot of the decision pipeline. The serial pre-phase fills the
   // request half (effective replicas, pre-drawn cookies); the parallel
   // evaluate phase fills the result half; the serial replay consumes it.
   struct Slot {
@@ -310,28 +299,19 @@ class Flowserver {
     SelectStats stats;
   };
 
-  // Decides one queued request against the current view (write-through
-  // commits included); installs are deferred to the caller's bulk flush.
-  // This is the legacy serial pipeline (decision_threads == 0).
-  std::vector<ReadAssignment> decide(PendingRead& req, sim::SimTime now);
-
-  // Registers the flowserver.write.* metric family on first use (control
-  // thread only).
-  void ensure_write_metrics();
-
   // Turns a routed chain into plan assignments (est_bw reports the chain
-  // bottleneck) and records the write books; shared by both pipelines.
-  // `requested_hops` is what the caller asked for — fewer routed hops means
-  // the chain was truncated by an unreachable host.
+  // bottleneck) and records the write books. `requested_hops` is what the
+  // caller asked for — fewer routed hops means the chain was truncated by an
+  // unreachable host.
   std::vector<ReadAssignment> finish_chain(
       const std::vector<ChainHopPlan>& plans,
       const std::vector<sdn::Cookie>& cookies, std::size_t requested_hops,
       double bytes, const SelectStats& stats, sim::SimTime now);
 
-  // Snapshot pipeline (decision_threads >= 1): serial pre-phase + parallel
-  // evaluation against the immutable batch view + in-order commit replay.
-  void decide_snapshot_batch(std::deque<PendingRead>& batch, sim::SimTime now,
-                             std::vector<Decided>& results);
+  // The decision pipeline: serial pre-phase + evaluation against the
+  // immutable batch view + in-order commit replay.
+  void decide_batch(std::deque<PendingRead>& batch, sim::SimTime now,
+                    std::vector<Decided>& results);
 
   // Did the armed batch-window event survive to its firing time?
   bool drain_generation_is(std::uint64_t gen) const EXCLUDES(queue_mu_) {
@@ -373,9 +353,8 @@ class Flowserver {
   std::uint64_t seen_fabric_epoch_ = 0;
   std::uint64_t seen_monitor_samples_ = 0;
 
-  // Sharded-refresh state: per-shard freshness lives in the view's shard
-  // stamps (table shard version at copy time); these only count the work.
-  bool sharded_ = false;
+  // Per-shard freshness lives in the view's shard stamps (table shard
+  // version at copy time); these only count the refresh work.
   std::uint64_t full_rebuilds_ = 0;
   std::uint64_t shard_reloads_ = 0;
   std::uint64_t link_refreshes_ = 0;
@@ -391,20 +370,20 @@ class Flowserver {
   // Invalidates armed events once drained.
   std::uint64_t drain_gen_ GUARDED_BY(queue_mu_) = 0;
 
-  // Snapshot-pipeline workers, created on the first threaded drain.
+  // Decision workers (decision_threads > 1 only), created on the first
+  // drain.
   std::unique_ptr<common::WorkerPool> pool_;
 
   // Observability (no-ops until config.obs is set).
   obs::Counter selections_metric_;
   obs::Counter split_reads_metric_;
   obs::Histogram poll_samples_hist_;  // per-cycle samples applied (work/tick)
-  // Sharded-refresh metrics (no-ops unless config.shard_metrics is set —
-  // they must not perturb sharded-vs-legacy metrics JSON diffs).
+  // View-refresh metrics (flowserver.shard.*).
   obs::Counter full_rebuilds_metric_;
   obs::Counter shard_reloads_metric_;
   obs::Counter link_refreshes_metric_;
-  // Adaptive-telemetry metrics (flowserver.poll.*), registered only when the
-  // layer is active so a default run's metrics JSON is untouched.
+  // Adaptive-telemetry metrics (flowserver.poll.*; zero while the layer is
+  // inactive).
   obs::Counter poll_applied_metric_;
   obs::Counter poll_deferred_mouse_metric_;
   obs::Counter poll_deferred_budget_metric_;
@@ -412,10 +391,7 @@ class Flowserver {
   obs::Counter poll_demotions_metric_;
   obs::Gauge poll_elephants_gauge_;
   obs::Gauge poll_mice_gauge_;
-  // Write-path metrics (flowserver.write.*), registered lazily on the first
-  // planned chain so a run that never plans writes keeps its metrics JSON
-  // byte-identical to the pre-write-path baseline.
-  bool write_metrics_registered_ = false;
+  // Write-path metrics (flowserver.write.*).
   obs::Counter write_chains_metric_;
   obs::Counter write_hops_metric_;
   obs::Counter write_truncated_metric_;

@@ -91,16 +91,11 @@ class ReplicaPathSelector {
   void commit(net::NetworkView& view, const Candidate& chosen,
               sdn::Cookie cookie, double request_bytes, sim::SimTime now);
 
-  // Write-through mutations for the multi-read planner's split sizing.
+  // Write-through mutations for split sizing and chain bottleneck pinning.
   void setbw(net::NetworkView& view, sdn::Cookie cookie, double bw_bps,
               sim::SimTime now);
   void resize(net::NetworkView& view, sdn::Cookie cookie,
               double new_size_bytes, sim::SimTime now);
-
-  // Paired tentative scope over table + view (multi-read planning).
-  void begin_tentative(net::NetworkView& view);
-  void commit_tentative(net::NetworkView& view);
-  void rollback_tentative(net::NetworkView& view);
 
   // Ablation knob: when false the cost drops Eq. 2's second term (impact on
   // existing flows) and greedily maximizes the new flow's own bandwidth.

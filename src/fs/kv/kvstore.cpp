@@ -1,5 +1,6 @@
 #include "fs/kv/kvstore.hpp"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -56,10 +57,19 @@ bool write_record(std::FILE* f, const std::string& payload, bool fsync) {
   }
   if (std::fflush(f) != 0) return false;
   if (fsync) {
-    // fileno+fsync: the one place the store touches POSIX directly.
+    // fileno+fsync: with fsync_dir below, the only places the store touches
+    // POSIX directly.
     ::fsync(::fileno(f));
   }
   return true;
+}
+
+// Makes a rename inside `dir` durable.
+void fsync_dir(const std::filesystem::path& dir) {
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return;
+  ::fsync(fd);
+  ::close(fd);
 }
 
 }  // namespace
@@ -81,7 +91,19 @@ bool KvStore::open(const std::filesystem::path& dir, Options options) {
   recovered_records_ = 0;
 
   replay_file(dir_ / "SNAPSHOT");
-  replay_file(dir_ / "WAL");
+  // A torn tail stays on disk after replay stops at it; appending behind it
+  // would put every new record past the point the next replay stops at.
+  const std::filesystem::path wal = dir_ / "WAL";
+  const std::uintmax_t valid = replay_file(wal);
+  if (std::filesystem::exists(wal, ec) &&
+      std::filesystem::file_size(wal, ec) != valid) {
+    std::filesystem::resize_file(wal, valid, ec);
+    if (ec) {
+      MAYFLOWER_LOG_ERROR("kv: cannot truncate WAL in %s: %s", dir_.c_str(),
+                          ec.message().c_str());
+      return false;
+    }
+  }
 
   wal_ = std::fopen((dir_ / "WAL").c_str(), "ab");
   if (wal_ == nullptr) {
@@ -99,9 +121,10 @@ void KvStore::close() {
   }
 }
 
-bool KvStore::replay_file(const std::filesystem::path& path) {
+std::uintmax_t KvStore::replay_file(const std::filesystem::path& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;  // absent is fine
+  if (f == nullptr) return 0;  // absent is fine
+  std::uintmax_t valid = 0;
   while (true) {
     std::uint32_t crc = 0;
     std::uint32_t len = 0;
@@ -131,9 +154,10 @@ bool KvStore::replay_file(const std::filesystem::path& path) {
       break;  // unknown op: treat as corruption
     }
     ++recovered_records_;
+    valid += sizeof crc + sizeof len + len;
   }
   std::fclose(f);
-  return true;
+  return valid;
 }
 
 bool KvStore::append_record(std::uint8_t op, const std::string& key,
@@ -199,6 +223,7 @@ bool KvStore::compact() {
   std::error_code ec;
   std::filesystem::rename(tmp, dir_ / "SNAPSHOT", ec);
   if (ec) return false;
+  if (options_.fsync) fsync_dir(dir_);
 
   // Truncate the WAL now that the snapshot covers everything.
   std::fclose(wal_);

@@ -14,9 +14,11 @@
 // Record framing (both files): [u32 crc][u32 len][payload], crc over payload.
 // Payload: u8 op (1=put, 2=del), varint key_len, key, varint val_len, value.
 // Recovery replays SNAPSHOT then WAL, stopping at the first torn/corrupt
-// record (crash-safe prefix semantics).
+// record (crash-safe prefix semantics), and truncates the WAL to the end of
+// the last valid record so new appends are not stranded behind the garbage.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -67,7 +69,9 @@ class KvStore {
  private:
   bool append_record(std::uint8_t op, const std::string& key,
                      const std::string& value);
-  bool replay_file(const std::filesystem::path& path);
+  // Replays every valid record of `path`; returns the byte length of that
+  // valid prefix (0 when the file is absent).
+  std::uintmax_t replay_file(const std::filesystem::path& path);
 
   std::filesystem::path dir_;
   Options options_;

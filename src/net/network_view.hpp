@@ -6,16 +6,17 @@
 // A view is built once per decision batch (from the FlowStateTable, the
 // fabric's liveness map and a LinkRateMonitor) and every consumer — the
 // replica/path selector, the multi-read planner, write placement and all
-// replica policies — reads the SAME state at the SAME time. Decisions that
-// commit inside a batch write through the view (add_flow / set_flow_bps /
-// resize_flow) so later decisions in the batch see earlier ones; mutations
-// from outside the decision pipeline (stats polls, drops, faults) instead
+// replica policies — reads the SAME state at the SAME time. A batch's
+// commits write through the view (add_flow / set_flow_bps / resize_flow) so
+// it stays current for the next batch without a rebuild; mutations from
+// outside the decision pipeline (stats polls, drops, faults) instead
 // invalidate the view, forcing a rebuild before the next batch.
 //
-// The flow section mirrors FlowStateTable semantics: a per-link reverse
-// index (LinkIndex) keeps flows_on_link / flows_on_path at O(flows actually
-// crossing the links) in key order, and a bounded undo log provides the same
-// tentative scope the table offers the multi-read planner.
+// The flow section mirrors FlowStateTable semantics and adds what decisions
+// query: a per-link reverse index (LinkIndex) keeps flows_on_link /
+// flows_on_path at O(flows actually crossing the links) in key order, and a
+// bounded undo log provides the tentative scope the read-only planners
+// (multi-read split, write chain) plan inside.
 #pragma once
 
 #include <cstdint>
@@ -74,7 +75,7 @@ class NetworkView {
 
   // Partitions the believed-flow section by `map` (per-shard key lists and
   // version stamps). Must be installed while the view holds no flows; an
-  // unsharded map (the default) keeps the legacy zero-bookkeeping layout.
+  // unsharded map (the default) keeps zero shard bookkeeping.
   void set_shard_map(ShardMap map);
   const ShardMap& shard_map() const { return shard_map_; }
   std::uint32_t shard_count() const { return shard_map_.shard_count(); }
@@ -145,10 +146,10 @@ class NetworkView {
   void resize_flow(std::uint64_t key, double new_size_bytes);
   void drop_flow(std::uint64_t key);
 
-  // --- tentative scope (multi-read planning) ----------------------------
+  // --- tentative scope (read-only planning) -----------------------------
   //
-  // Mirrors FlowStateTable's bounded undo log: first-touch prior state is
-  // recorded between begin and commit/rollback; scopes do not nest.
+  // A bounded undo log: first-touch prior state is recorded between begin
+  // and commit/rollback; scopes do not nest.
 
   void begin_tentative();
   void commit_tentative();
@@ -158,7 +159,7 @@ class NetworkView {
  private:
   void record_undo(std::uint64_t key);
   // Shard-key bookkeeping around flow insertion/removal; no-ops unless a
-  // sharded map is installed, so the legacy layout pays nothing.
+  // sharded map is installed, so an unsharded view pays nothing.
   void track_key_added(std::uint64_t key, const Path& path);
   void track_key_removed(std::uint64_t key, const Path& path);
 

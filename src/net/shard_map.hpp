@@ -10,7 +10,7 @@
 // Shard 0 is a catch-all for nodes that hang off no edge switch (cores,
 // aggs, hosts in degenerate hand-built topologies); each edge switch and the
 // hosts attached to it share one dedicated shard. A default-constructed map
-// has a single shard — the unsharded legacy layout — and consumers treat
+// has a single shard — standalone tables and views — and consumers treat
 // that case as "no partitioning" with zero bookkeeping overhead.
 #pragma once
 
@@ -25,7 +25,7 @@ namespace mayflower::net {
 
 class ShardMap {
  public:
-  // One catch-all shard: the unsharded legacy layout.
+  // One catch-all shard (standalone tables and views).
   ShardMap() = default;
 
   // One shard per edge switch — any switch with an attached host, the same

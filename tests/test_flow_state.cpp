@@ -19,6 +19,13 @@ net::Path one_link_path(net::LinkId l) {
   return p;
 }
 
+// Link queries run on the decision snapshot a table populates.
+net::NetworkView snapshot(const FlowStateTable& t) {
+  net::NetworkView view;
+  t.snapshot_into(view);
+  return view;
+}
+
 TEST(FlowStateTable, AddRegistersFrozenFlow) {
   FlowStateTable t;
   t.add(1, one_link_path(0), 100.0, 10.0, sec(0));
@@ -117,9 +124,10 @@ TEST(FlowStateTable, FlowsOnLinkFiltersByPath) {
   both.links = {0, 1};
   both.nodes = {0, 1, 2};
   t.add(3, both, 10.0, 1.0, sec(0));
-  EXPECT_EQ(t.flows_on_link(0).size(), 2u);
-  EXPECT_EQ(t.flows_on_link(1).size(), 2u);
-  EXPECT_EQ(t.flows_on_link(7).size(), 0u);
+  const net::NetworkView view = snapshot(t);
+  EXPECT_EQ(view.flows_on_link(0).size(), 2u);
+  EXPECT_EQ(view.flows_on_link(1).size(), 2u);
+  EXPECT_EQ(view.flows_on_link(7).size(), 0u);
 }
 
 TEST(FlowStateTable, FlowsOnPathDeduplicates) {
@@ -128,7 +136,7 @@ TEST(FlowStateTable, FlowsOnPathDeduplicates) {
   both.links = {0, 1};
   both.nodes = {0, 1, 2};
   t.add(1, both, 10.0, 1.0, sec(0));  // crosses both links of the query path
-  EXPECT_EQ(t.flows_on_path(both).size(), 1u);
+  EXPECT_EQ(snapshot(t).flows_on_path(both).size(), 1u);
 }
 
 TEST(FlowStateTable, RemainingClampsAfterResizeOvershoot) {
@@ -145,77 +153,12 @@ TEST(FlowStateTable, FlowsOnLinkIteratesInCookieOrder) {
   t.add(9, one_link_path(0), 10.0, 1.0, sec(0));
   t.add(2, one_link_path(0), 10.0, 1.0, sec(0));
   t.add(5, one_link_path(0), 10.0, 1.0, sec(0));
-  const auto flows = t.flows_on_link(0);
+  const net::NetworkView view = snapshot(t);
+  const auto flows = view.flows_on_link(0);
   ASSERT_EQ(flows.size(), 3u);
-  EXPECT_EQ(flows[0]->cookie, 2u);
-  EXPECT_EQ(flows[1]->cookie, 5u);
-  EXPECT_EQ(flows[2]->cookie, 9u);
-}
-
-TEST(FlowStateTable, RollbackRestoresEveryMutationKind) {
-  FlowStateTable t;
-  t.add(1, one_link_path(0), 100.0, 10.0, sec(0));
-  t.add(2, one_link_path(1), 80.0, 8.0, sec(0));
-  t.add(3, one_link_path(2), 60.0, 6.0, sec(0));
-
-  t.begin_tentative();
-  t.setbw(1, 3.0, sec(1.0));                    // update
-  t.resize(1, 40.0, sec(1.0));                   // second touch, same entry
-  t.drop(2);                                     // erase
-  t.add(4, one_link_path(0), 50.0, 5.0, sec(1)); // insert
-  t.update_from_stats(3, 30.0, sec(1.0));        // update via stats
-  // Undo log is bounded by entries touched, not table size or touch count.
-  EXPECT_EQ(t.tentative_touched(), 4u);
-  t.rollback_tentative();
-
-  EXPECT_EQ(t.size(), 3u);
-  EXPECT_DOUBLE_EQ(t.find(1)->bw_bps, 10.0);
-  EXPECT_DOUBLE_EQ(t.find(1)->size_bytes, 100.0);
-  ASSERT_NE(t.find(2), nullptr);
-  EXPECT_DOUBLE_EQ(t.find(2)->bw_bps, 8.0);
-  EXPECT_DOUBLE_EQ(t.find(3)->remaining_bytes, 60.0);
-  EXPECT_EQ(t.find(4), nullptr);
-  // The link index rolled back too: cookie 4 is gone from link 0, cookie 2
-  // is back on link 1.
-  EXPECT_EQ(t.flows_on_link(0).size(), 1u);
-  EXPECT_EQ(t.flows_on_link(1).size(), 1u);
-  EXPECT_FALSE(t.tentative_active());
-}
-
-TEST(FlowStateTable, CommitKeepsTentativeMutations) {
-  FlowStateTable t;
-  t.add(1, one_link_path(0), 100.0, 10.0, sec(0));
-  t.begin_tentative();
-  t.setbw(1, 3.0, sec(1.0));
-  t.add(2, one_link_path(1), 50.0, 5.0, sec(1.0));
-  t.commit_tentative();
-  EXPECT_DOUBLE_EQ(t.find(1)->bw_bps, 3.0);
-  ASSERT_NE(t.find(2), nullptr);
-  EXPECT_EQ(t.flows_on_link(1).size(), 1u);
-  EXPECT_FALSE(t.tentative_active());
-}
-
-TEST(FlowStateTable, RollbackOfDropThenReaddRestoresOriginal) {
-  FlowStateTable t;
-  t.add(1, one_link_path(0), 100.0, 10.0, sec(0));
-  t.begin_tentative();
-  t.drop(1);
-  t.add(1, one_link_path(2), 30.0, 3.0, sec(1.0));  // recycled cookie
-  t.rollback_tentative();
-  ASSERT_NE(t.find(1), nullptr);
-  EXPECT_DOUBLE_EQ(t.find(1)->size_bytes, 100.0);
-  EXPECT_EQ(t.flows_on_link(0).size(), 1u);
-  EXPECT_EQ(t.flows_on_link(2).size(), 0u);
-}
-
-TEST(FlowStateTable, MutationsOutsideScopeAreNotLogged) {
-  FlowStateTable t;
-  t.add(1, one_link_path(0), 100.0, 10.0, sec(0));
-  EXPECT_FALSE(t.tentative_active());
-  t.begin_tentative();
-  EXPECT_EQ(t.tentative_touched(), 0u);
-  t.rollback_tentative();  // empty rollback is a no-op
-  EXPECT_EQ(t.size(), 1u);
+  EXPECT_EQ(flows[0]->key, 2u);
+  EXPECT_EQ(flows[1]->key, 5u);
+  EXPECT_EQ(flows[2]->key, 9u);
 }
 
 // --- sharded layout -------------------------------------------------------
@@ -275,37 +218,21 @@ TEST_F(ShardedFlowStateTest, MutationsBumpOnlyTheirShard) {
   EXPECT_EQ(table_.find(2)->path.nodes.front(), tree_.hosts[4]);
 }
 
-TEST_F(ShardedFlowStateTest, RollbackRestoresAcrossShards) {
-  const std::uint32_t s0 = shard_of_host(tree_.hosts[0]);
-  const std::uint32_t s2 = shard_of_host(tree_.hosts[8]);
-  table_.add(1, path_between(tree_.hosts[0], tree_.hosts[1]), 100.0, 10.0,
+TEST_F(ShardedFlowStateTest, DroppedCookieIsReusableInAnyShard) {
+  table_.add(3, path_between(tree_.hosts[8], tree_.hosts[9]), 50.0, 5.0,
              sec(0));
-  table_.add(2, path_between(tree_.hosts[4], tree_.hosts[5]), 100.0, 10.0,
-             sec(0));
-  const std::uint64_t v2 = table_.shard_version(s2);
-
-  table_.begin_tentative();
-  table_.setbw(1, 99.0, sec(1.0));                            // mutate s0
-  table_.drop(2);                                              // erase in s1
-  table_.add(3, path_between(tree_.hosts[8], tree_.hosts[9]),  // insert in s2
-             50.0, 5.0, sec(1.0));
-  EXPECT_EQ(table_.tentative_touched(), 3u);
-  table_.rollback_tentative();
-
-  EXPECT_DOUBLE_EQ(table_.find(1)->bw_bps, 10.0);
-  ASSERT_NE(table_.find(2), nullptr);
+  table_.drop(3);
   EXPECT_EQ(table_.find(3), nullptr);
-  // Rollback bumps exactly the shards it restored.
-  EXPECT_EQ(table_.shard_version(s2), v2 + 2);  // insert + rollback erase
-  // The aborted insert's route is gone: the cookie is reusable in ANY shard.
   table_.add(3, path_between(tree_.hosts[0], tree_.hosts[2]), 50.0, 5.0,
-             sec(2.0));
-  EXPECT_EQ(table_.shard_map().shard_of_path(table_.find(3)->path), s0);
+             sec(1.0));
+  EXPECT_EQ(table_.shard_map().shard_of_path(table_.find(3)->path),
+            shard_of_host(tree_.hosts[0]));
+  EXPECT_EQ(table_.size(), 1u);
 }
 
 TEST_F(ShardedFlowStateTest, FlowsOnLinkMergeAcrossShardsInCookieOrder) {
   // Two flows from DIFFERENT racks converge on host 8's downlink; the
-  // cross-shard gather must still come back in cookie order.
+  // snapshot of a sharded table must still answer in cookie order.
   const net::Path a = path_between(tree_.hosts[0], tree_.hosts[8]);
   const net::Path b = path_between(tree_.hosts[4], tree_.hosts[8]);
   const net::LinkId down =
@@ -314,10 +241,11 @@ TEST_F(ShardedFlowStateTest, FlowsOnLinkMergeAcrossShardsInCookieOrder) {
   ASSERT_EQ(b.links.back(), down);
   table_.add(7, a, 100.0, 10.0, sec(0));  // higher cookie added first
   table_.add(3, b, 100.0, 10.0, sec(0));
-  const auto on_link = table_.flows_on_link(down);
+  const net::NetworkView view = snapshot(table_);
+  const auto on_link = view.flows_on_link(down);
   ASSERT_EQ(on_link.size(), 2u);
-  EXPECT_EQ(on_link[0]->cookie, 3u);
-  EXPECT_EQ(on_link[1]->cookie, 7u);
+  EXPECT_EQ(on_link[0]->key, 3u);
+  EXPECT_EQ(on_link[1]->key, 7u);
 }
 
 TEST_F(ShardedFlowStateTest, SnapshotShardCopiesOneShard) {

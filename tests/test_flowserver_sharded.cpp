@@ -1,14 +1,18 @@
 // The sharded state plane's contract, end to end through the Flowserver:
-//  * decisions are byte-identical to the legacy single-shard layout;
+//  * decisions replay the golden recorded from the retired single-shard
+//    layout;
 //  * churn reloads only the shard it touched;
 //  * a switch crash stales exactly the crashed edge's shard;
 //  * staggered poll groups apply the same samples per interval as one sweep.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "flowserver/flowserver.hpp"
+#include "golden.hpp"
 #include "net/paths.hpp"
 #include "net/tree.hpp"
 
@@ -23,7 +27,6 @@ class ShardedFlowserverTest : public ::testing::Test {
 
   FlowserverConfig sharded_config() {
     FlowserverConfig cfg;
-    cfg.shard_by_edge = true;
     cfg.seed = 7;
     return cfg;
   }
@@ -56,26 +59,21 @@ class ShardedFlowserverTest : public ::testing::Test {
 };
 
 TEST_F(ShardedFlowserverTest, DecisionsMatchLegacyByteForByte) {
-  // Same fabric, same preload, same churny request stream: the sharded
-  // layout must emit the exact decision sequence the legacy layout does.
-  FlowserverConfig legacy_cfg;
-  legacy_cfg.seed = 7;
-  Flowserver legacy(fabric_, legacy_cfg);
-  Flowserver sharded(fabric_, sharded_config());
-  ASSERT_GT(sharded.state_shards(), 1u);
-  ASSERT_EQ(legacy.state_shards(), 1u);
-  preload(legacy, 256);
-  preload(sharded, 256);
+  // A churny request stream over a preloaded table must emit the exact
+  // decision sequence the retired single-shard layout did (the golden was
+  // recorded from it, serial pipeline, batch size one).
+  Flowserver server(fabric_, sharded_config());
+  ASSERT_GT(server.state_shards(), 1u);
+  preload(server, 256);
 
   Rng req(9);
   Rng churn(11);
+  std::ostringstream out;
   for (int i = 0; i < 32; ++i) {
     // Background churn between decisions: stales one shard vs the table.
     const auto victim = static_cast<sdn::Cookie>(
         1000000 + churn.next_below(256));
-    const double bw = churn.uniform(1e6, 125e6);
-    legacy.table().setbw(victim, bw, sim::SimTime{});
-    sharded.table().setbw(victim, bw, sim::SimTime{});
+    server.table().setbw(victim, churn.uniform(1e6, 125e6), sim::SimTime{});
 
     const net::NodeId client = tree_.hosts[req.next_below(tree_.hosts.size())];
     std::vector<net::NodeId> reps;
@@ -85,20 +83,11 @@ TEST_F(ShardedFlowserverTest, DecisionsMatchLegacyByteForByte) {
       for (const net::NodeId seen : reps) dup |= (seen == r);
       if (!dup) reps.push_back(r);
     }
-    const auto a = legacy.select_for_read(client, reps, 64e6);
-    const auto b = sharded.select_for_read(client, reps, 64e6);
-    ASSERT_EQ(a.size(), b.size()) << "request " << i;
-    for (std::size_t j = 0; j < a.size(); ++j) {
-      EXPECT_EQ(a[j].replica, b[j].replica) << "request " << i;
-      EXPECT_EQ(a[j].path.nodes, b[j].path.nodes) << "request " << i;
-      EXPECT_EQ(a[j].bytes, b[j].bytes) << "request " << i;
-      EXPECT_EQ(a[j].est_bw_bps, b[j].est_bw_bps) << "request " << i;
-    }
-    // Keep the two tables in lockstep (cookies differ across servers, so
-    // drop both plans rather than letting the flows linger).
-    for (const auto& x : a) legacy.flow_dropped(x.cookie);
-    for (const auto& x : b) sharded.flow_dropped(x.cookie);
+    const auto plan = server.select_for_read(client, reps, 64e6);
+    golden::append_plan(out, "req " + std::to_string(i), plan);
+    for (const auto& a : plan) server.flow_dropped(a.cookie);
   }
+  EXPECT_TRUE(golden::matches_golden("decisions_sharded_churn.txt", out.str()));
 }
 
 TEST_F(ShardedFlowserverTest, ChurnReloadsOnlyTheTouchedShard) {

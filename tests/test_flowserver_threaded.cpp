@@ -1,14 +1,14 @@
 // Threaded batch admission: the snapshot pipeline must produce
 // byte-identical decisions at every thread count (the WorkerPool determinism
-// contract, DESIGN.md §11), match the legacy serial pipeline on batches of
-// one, and keep the exported metrics byte-identical across thread counts.
+// contract, DESIGN.md §11), replay the committed transcripts of the retired
+// serial pipeline on batches of one (tests/golden/), and keep the exported
+// metrics byte-identical across thread counts.
 // The stress test at the end is the TSan lane's target: producer threads
 // hammer post_read() while the control thread drains, polls and injects
 // fabric faults.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <iomanip>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -16,6 +16,7 @@
 
 #include "common/rng.hpp"
 #include "flowserver/flowserver.hpp"
+#include "golden.hpp"
 #include "net/tree.hpp"
 #include "obs/observability.hpp"
 
@@ -86,15 +87,9 @@ RunOutput run_workload(std::size_t decision_threads, std::size_t group,
   }
 
   std::ostringstream out;
-  out << std::hexfloat;
   for (int i = 0; i < kRequests; ++i) {
-    out << "req " << i << "\n";
-    for (const auto& a : plans[static_cast<std::size_t>(i)]) {
-      out << "  replica=" << a.replica << " bytes=" << a.bytes
-          << " est=" << a.est_bw_bps << " path=";
-      for (const net::NodeId node : a.path.nodes) out << node << ",";
-      out << "\n";
-    }
+    golden::append_plan(out, "req " + std::to_string(i),
+                        plans[static_cast<std::size_t>(i)]);
   }
   out << "selections=" << server.selections()
       << " splits=" << server.split_reads()
@@ -105,14 +100,16 @@ RunOutput run_workload(std::size_t decision_threads, std::size_t group,
 constexpr std::uint64_t kSeeds[] = {0xfee1d, 0xf16};
 
 TEST(FlowserverThreadedBatch, BatchOfOneMatchesLegacyAtEveryThreadCount) {
+  // The goldens were recorded from the serial pipeline at batch size one.
   for (const std::uint64_t seed : kSeeds) {
     for (const bool hotspot : {false, true}) {
-      const RunOutput legacy = run_workload(0, 1, seed, hotspot);
+      std::ostringstream name;
+      name << "decisions_threaded_" << std::hex << seed
+           << (hotspot ? "_hotspot" : "_uniform") << ".txt";
       for (const std::size_t threads : {1u, 2u, 8u}) {
         const RunOutput got = run_workload(threads, 1, seed, hotspot);
-        EXPECT_EQ(got.transcript, legacy.transcript)
-            << "threads=" << threads << " seed=" << seed
-            << " hotspot=" << hotspot;
+        EXPECT_TRUE(golden::matches_golden(name.str(), got.transcript))
+            << "threads=" << threads;
       }
     }
   }

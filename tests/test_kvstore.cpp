@@ -133,6 +133,29 @@ TEST_F(KvStoreTest, TornWalTailIsDiscardedButPrefixSurvives) {
   EXPECT_TRUE(kv.put("after", "c"));
 }
 
+TEST_F(KvStoreTest, PutAfterTornTailSurvivesTheNextReopen) {
+  {
+    KvStore kv;
+    ASSERT_TRUE(kv.open(dir_));
+    kv.put("before", "a");
+  }
+  {
+    std::ofstream wal(dir_ / "WAL", std::ios::binary | std::ios::app);
+    const char garbage[] = "\x11\x22\x33\x44\x05\x00\x00\x00xy";
+    wal.write(garbage, sizeof garbage - 1);
+  }
+  {
+    KvStore kv;
+    ASSERT_TRUE(kv.open(dir_));
+    ASSERT_TRUE(kv.put("after", "b"));  // acknowledged: must be durable
+  }
+  KvStore kv;
+  ASSERT_TRUE(kv.open(dir_));
+  EXPECT_EQ(kv.get("before"), "a");
+  EXPECT_EQ(kv.get("after"), "b");
+  EXPECT_EQ(kv.size(), 2u);
+}
+
 TEST_F(KvStoreTest, CorruptMiddleRecordStopsReplayAtIt) {
   {
     KvStore kv;

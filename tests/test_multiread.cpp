@@ -9,14 +9,28 @@ namespace {
 
 using testing::Figure2;
 
+// Plans read-only against `view`, then commits the plan through to the
+// selector's table and the view — the Flowserver's evaluate-then-replay
+// sequence for one request.
+std::vector<SubflowPlan> plan_then_commit(MultiReadPlanner& planner,
+                                          net::NetworkView& view,
+                                          net::NodeId client,
+                                          const std::vector<net::NodeId>& reps,
+                                          double bytes) {
+  const std::vector<sdn::Cookie> cookies{900, 901};
+  std::vector<SubflowPlan> plans =
+      planner.plan_readonly(view, client, reps, bytes, cookies);
+  planner.commit_plans(view, plans, bytes, cookies, sim::SimTime{});
+  return plans;
+}
+
 TEST(MultiRead, SingleReplicaNeverSplits) {
   Figure2 fig;
   net::PathCache cache(fig.topo);
   ReplicaPathSelector selector(fig.topo, cache, fig.table);
   MultiReadPlanner planner(selector);
   net::NetworkView view = fig.view();
-  const auto plans = planner.plan_and_commit(view, fig.D, {fig.S}, 9.0,
-                                             {900, 901}, sim::SimTime{});
+  const auto plans = plan_then_commit(planner, view, fig.D, {fig.S}, 9.0);
   ASSERT_EQ(plans.size(), 1u);
   EXPECT_DOUBLE_EQ(plans[0].bytes, 9.0);
   EXPECT_NE(fig.table.find(900), nullptr);
@@ -36,8 +50,7 @@ TEST(MultiRead, SplitsWhenReplicasAvoidSharedBottleneck) {
   MultiReadPlanner planner(selector);
   net::NetworkView view = fig.view();
 
-  const auto plans = planner.plan_and_commit(view, fig.D, {fig.S, s2}, 9.0,
-                                             {900, 901}, sim::SimTime{});
+  const auto plans = plan_then_commit(planner, view, fig.D, {fig.S, s2}, 9.0);
   ASSERT_EQ(plans.size(), 2u);
   EXPECT_NE(plans[0].candidate.replica, plans[1].candidate.replica);
 
@@ -82,12 +95,11 @@ TEST(MultiRead, RejectsSplitSharingTheBottleneck) {
   ReplicaPathSelector selector(topo, cache, table);
   MultiReadPlanner planner(selector);
   net::NetworkView view = make_decision_view(topo, table);
-  const auto plans = planner.plan_and_commit(view, d, {s1, s2}, 9.0,
-                                             {900, 901}, sim::SimTime{});
+  const auto plans = plan_then_commit(planner, view, d, {s1, s2}, 9.0);
   ASSERT_EQ(plans.size(), 1u);
   EXPECT_DOUBLE_EQ(plans[0].bytes, 9.0);
   EXPECT_NEAR(plans[0].planned_bps, 3.0, 1e-9);
-  // The rejected tentative subflow left no residue.
+  // The rejected subflow never reached the table.
   EXPECT_EQ(table.size(), 1u);
   EXPECT_EQ(table.find(901), nullptr);
 }
@@ -102,8 +114,7 @@ TEST(MultiRead, SplitsAcrossFigure2sTwoAggPaths) {
   ReplicaPathSelector selector(fig.topo, cache, fig.table);
   MultiReadPlanner planner(selector);
   net::NetworkView view = fig.view();
-  const auto plans = planner.plan_and_commit(view, fig.D, {fig.S, s2}, 9.0,
-                                             {900, 901}, sim::SimTime{});
+  const auto plans = plan_then_commit(planner, view, fig.D, {fig.S, s2}, 9.0);
   ASSERT_EQ(plans.size(), 2u);
   EXPECT_NEAR(plans[0].planned_bps + plans[1].planned_bps, 6.0, 1e-9);
   // 3:3 shares => even split.
@@ -139,8 +150,7 @@ TEST(MultiRead, SplitSizingIsConsistentWhenSubflowsShareTwoLinks) {
 
   const double request = 10.0;
   net::NetworkView view = make_decision_view(topo, table);
-  const auto plans = planner.plan_and_commit(view, d, {s1, s2}, request,
-                                             {900, 901}, sim::SimTime{});
+  const auto plans = plan_then_commit(planner, view, d, {s1, s2}, request);
   ASSERT_EQ(plans.size(), 2u);
 
   // Greedy pick: S1 at min(8,10,10) = 8. Subflow 2 from S2: max-min on the

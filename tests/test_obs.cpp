@@ -1,6 +1,7 @@
 // Observability layer: registry semantics (null handles, bucket edges,
 // sorted deterministic JSON), flow-tracer lifecycle arithmetic, the
-// freeze-suppression hook in the FlowStateTable, and the end-to-end
+// freeze-suppression hook in the FlowStateTable, what a rejected multi-read
+// split leaves in the trace, and the end-to-end
 // guarantee the CLI relies on — two identical seeded runs export
 // byte-identical JSON.
 #include "obs/observability.hpp"
@@ -8,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "flowserver/flow_state.hpp"
+#include "flowserver/flowserver.hpp"
+#include "net/paths.hpp"
+#include "sdn/fabric.hpp"
 #include "harness/experiment.hpp"
 
 namespace mayflower {
@@ -178,16 +182,6 @@ TEST(FlowTracer, EstimatorErrorsSkipKilledAndZeroDurationFlows) {
   EXPECT_DOUBLE_EQ(errs[0], 1.0);
 }
 
-TEST(FlowTracer, AbandonedFlowsLeaveNoTrace) {
-  obs::FlowTracer t;
-  t.flow_planned(9, 0.0, 10.0, 1.0);
-  EXPECT_EQ(t.active_count(), 1u);
-  t.flow_abandoned(9);  // rejected multi-read tentative leg rolled back
-  EXPECT_EQ(t.active_count(), 0u);
-  t.flow_completed(9, 1.0, 10.0);  // late event for the dead cookie: no-op
-  EXPECT_TRUE(t.finished().empty());
-}
-
 TEST(FlowTracer, ToleratesUnknownCookies) {
   obs::FlowTracer t;
   t.flow_resized(42, 1.0);
@@ -246,6 +240,63 @@ TEST(FlowStateTableObs, FreezeSuppressionCountsAndMarksTheFlow) {
   EXPECT_NE(table.find(1)->bw_bps, 10.0);
   EXPECT_EQ(table.freeze_suppressed_total(), 1u);
   EXPECT_EQ(table.frozen_count(sim::SimTime::from_seconds(11.0)), 0u);
+}
+
+// --- flowserver decisions in the trace ----------------------------------
+
+TEST(FlowserverTrace, RejectedSplitLeavesLegOneAndOtherFlowsUntouched) {
+  // Replicas s1 and s2 sit behind one edge switch and the client's access
+  // link (3) is the bottleneck, so a second leg from s2 would halve leg 1
+  // and win nothing: the split is rejected. A running background flow
+  // shares only s2's uplink, so only the rejected leg would have bumped it.
+  //
+  //   s1 --10--+              +--3-- d
+  //   s2 --10--es --10-- ed --+
+  //   y  --10--+
+  net::Topology topo;
+  const auto s1 = topo.add_node(net::NodeKind::kHost, "s1");
+  const auto s2 = topo.add_node(net::NodeKind::kHost, "s2");
+  const auto y = topo.add_node(net::NodeKind::kHost, "y");
+  const auto d = topo.add_node(net::NodeKind::kHost, "d");
+  const auto es = topo.add_node(net::NodeKind::kEdgeSwitch, "es");
+  const auto ed = topo.add_node(net::NodeKind::kEdgeSwitch, "ed");
+  topo.add_duplex(s1, es, 10.0);
+  topo.add_duplex(s2, es, 10.0);
+  topo.add_duplex(y, es, 10.0);
+  topo.add_duplex(es, ed, 10.0);
+  topo.add_duplex(ed, d, 3.0);
+
+  sim::EventQueue events;
+  sdn::SdnFabric fabric(events, topo);
+  obs::Observability hub;
+  fabric.set_obs(&hub);
+  flowserver::FlowserverConfig cfg;
+  cfg.obs = &hub;
+  flowserver::Flowserver server(fabric, cfg);
+
+  net::PathCache cache(topo);
+  const net::Path bg_path = cache.get(s2, y)[0];
+  const sdn::Cookie bg = fabric.new_cookie();
+  server.table().add(bg, bg_path, 1e3, 10.0, sim::SimTime{});
+  fabric.install_path(bg, bg_path);
+  fabric.start_flow(bg, bg_path, 1e3);
+
+  const auto plan = server.select_for_read(d, {s1, s2}, 9.0);
+  ASSERT_EQ(plan.size(), 1u);
+  EXPECT_EQ(plan[0].replica, s1);
+  EXPECT_EQ(server.split_reads(), 0u);
+  fabric.start_flow(plan[0].cookie, plan[0].path, plan[0].bytes);
+
+  const obs::FlowTraceRecord* leg1 = hub.trace.find_active(plan[0].cookie);
+  ASSERT_NE(leg1, nullptr);
+  EXPECT_EQ(leg1->planned_bw_bps, plan[0].est_bw_bps);
+  EXPECT_EQ(leg1->setbw_bumps, 0u);
+  const obs::FlowTraceRecord* other = hub.trace.find_active(bg);
+  ASSERT_NE(other, nullptr);
+  EXPECT_EQ(other->setbw_bumps, 0u);
+  // The rejected leg's cookie was drawn but never registered.
+  EXPECT_EQ(hub.trace.find_active(plan[0].cookie + 1), nullptr);
+  EXPECT_EQ(hub.trace.active_count(), 2u);
 }
 
 // --- end to end ------------------------------------------------------------

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <iomanip>
 #include <set>
 #include <sstream>
 #include <string>
@@ -18,6 +17,7 @@
 #include "flowserver/flowserver.hpp"
 #include "flowserver/writechain.hpp"
 #include "fs/cluster.hpp"
+#include "golden.hpp"
 #include "net/tree.hpp"
 #include "obs/observability.hpp"
 #include "policy/write_placement.hpp"
@@ -142,15 +142,9 @@ std::string run_mixed_workload(std::size_t decision_threads,
   }
 
   std::ostringstream out;
-  out << std::hexfloat;
   for (int i = 0; i < kRequests; ++i) {
-    out << "req " << i << "\n";
-    for (const auto& a : plans[static_cast<std::size_t>(i)]) {
-      out << "  cookie=" << a.cookie << " replica=" << a.replica
-          << " bytes=" << a.bytes << " est=" << a.est_bw_bps << " path=";
-      for (const net::NodeId node : a.path.nodes) out << node << ",";
-      out << "\n";
-    }
+    golden::append_plan(out, "req " + std::to_string(i),
+                        plans[static_cast<std::size_t>(i)]);
   }
   out << "chains=" << rig.server.write_chains()
       << " hops=" << rig.server.write_hops()
@@ -172,9 +166,10 @@ TEST(WriteChain, DecisionsByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(WriteChain, BatchOfOneMatchesLegacySerialPipeline) {
-  const std::string legacy = run_mixed_workload(0, 1, 0xbeefULL);
+  // The golden was recorded from the serial pipeline at batch size one.
   for (const std::size_t threads : {1u, 8u}) {
-    EXPECT_EQ(run_mixed_workload(threads, 1, 0xbeefULL), legacy)
+    const std::string got = run_mixed_workload(threads, 1, 0xbeefULL);
+    EXPECT_TRUE(golden::matches_golden("decisions_write_mixed_beef.txt", got))
         << "threads=" << threads;
   }
 }

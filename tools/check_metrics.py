@@ -13,14 +13,14 @@ file it also diffs for determinism):
     (moved_bytes >= 0, end >= start for completed flows);
   * estimator_error and belief_error percentiles are ordered
     (p50 <= p90 <= p99 <= max);
-  * when the sharded state plane exports its counters (--shard-metrics),
-    the flowserver.shard.* family is complete and coherent: the shard-count
-    gauge is present and >= 2, and per-shard reloads imply at least one
-    prior full view build;
-  * when the adaptive telemetry layer exports its counters (--poll-budget /
-    --mouse-period), the flowserver.poll.* family is complete (five
-    counters + two gauges, all-or-nothing) and coherent: budget deferrals
-    and class transitions imply applied samples;
+  * every obs block with a Flowserver attached (it exports
+    flowserver.selections) carries the flowserver.shard.*, flowserver.poll.*
+    and flowserver.write.* families complete — the server registers them
+    whether or not their layer did any work;
+  * flowserver.shard.* is coherent: the shard-count gauge is >= 2 and
+    per-shard reloads imply at least one prior full view build;
+  * flowserver.poll.* (five counters + two gauges) is coherent: budget
+    deferrals and class transitions imply applied samples;
   * sdn.poller.ticks and sdn.poller.cycles are exported together and
     cycles <= ticks (a collection cycle is groups() staggered sub-ticks);
   * when a run carries a metadata-plane export (the optional per-run
@@ -29,11 +29,9 @@ file it also diffs for determinism):
     complete: meta.shard.count gauge >= 1, one meta.shard.<i>.ops counter
     per shard, the router counters, the lookup-latency histogram, and the
     async-commit trio all-or-nothing;
-  * when the write-path planner exports its counters (a planned chain —
-    lazy registration makes the family appear as a unit), the
-    flowserver.write.* family is complete (three counters + the bottleneck
-    histogram, all-or-nothing) and coherent: every chain has at least one
-    hop and exactly one bottleneck observation;
+  * flowserver.write.* (three counters + the bottleneck histogram) is
+    coherent: every chain has at least one hop and exactly one bottleneck
+    observation;
   * when a run carries a write-phase export (the optional per-run
     "write_obs" object written for --write-jobs > 0), it passes the same
     structural checks as the main obs block;
@@ -257,14 +255,20 @@ SHARD_COUNTERS = (
 )
 
 
+def flowserver_attached(obs):
+    """A Flowserver registers flowserver.selections and, with it, every
+    flowserver.* family below."""
+    return "flowserver.selections" in obs["counters"]
+
+
 def check_shard_family(obs, where):
-    """flowserver.shard.* is all-or-nothing and internally coherent."""
+    """flowserver.shard.* is complete and internally coherent."""
     counters = obs["counters"]
     gauges = obs["gauges"]
     present = [c for c in SHARD_COUNTERS if c in counters]
     has_gauge = "flowserver.shard.count" in gauges
-    if not present and not has_gauge:
-        return  # unsharded run (or shard metrics not exported): nothing due
+    if not present and not has_gauge and not flowserver_attached(obs):
+        return  # no Flowserver in this block: nothing due
     missing = [c for c in SHARD_COUNTERS if c not in counters]
     if missing:
         fail(f"{where}: partial flowserver.shard.* export, missing "
@@ -296,14 +300,14 @@ POLL_GAUGES = (
 
 
 def check_poll_family(obs, where):
-    """flowserver.poll.* (adaptive telemetry, DESIGN.md §14) is
-    all-or-nothing and internally coherent."""
+    """flowserver.poll.* (adaptive telemetry, DESIGN.md §14) is complete
+    and internally coherent."""
     counters = obs["counters"]
     gauges = obs["gauges"]
     present = [c for c in POLL_COUNTERS if c in counters]
     present += [g for g in POLL_GAUGES if g in gauges]
-    if not present:
-        return  # adaptive telemetry off: nothing due
+    if not present and not flowserver_attached(obs):
+        return  # no Flowserver in this block: nothing due
     missing = [c for c in POLL_COUNTERS if c not in counters]
     missing += [g for g in POLL_GAUGES if g not in gauges]
     if missing:
@@ -346,14 +350,14 @@ WRITE_HISTOGRAM = "flowserver.write.bottleneck_bps"
 
 
 def check_write_family(obs, where):
-    """flowserver.write.* (write-chain planning, DESIGN.md §15) is
-    all-or-nothing and internally coherent."""
+    """flowserver.write.* (write-chain planning, DESIGN.md §15) is complete
+    and internally coherent."""
     counters = obs["counters"]
     histograms = obs["histograms"]
     present = [c for c in WRITE_COUNTERS if c in counters]
     has_hist = WRITE_HISTOGRAM in histograms
-    if not present and not has_hist:
-        return  # no write was ever planned: nothing due
+    if not present and not has_hist and not flowserver_attached(obs):
+        return  # no Flowserver in this block: nothing due
     missing = [c for c in WRITE_COUNTERS if c not in counters]
     if missing:
         fail(f"{where}: partial flowserver.write.* export, missing "

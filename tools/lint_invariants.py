@@ -9,7 +9,10 @@ banned identifier does not trip the gate):
             that cost candidates and pick replicas/paths — and the sharded
             state plane they read through (shard map, view, flow table) —
             must never name raw fabric/simulator state (flow_sim,
-            port_bytes, poll_port_stats, flow_record, switch_at).
+            port_bytes, poll_port_stats, flow_record, switch_at), nor the
+            retired serial pipeline (plan_and_commit, flow_abandoned); the
+            flow table keeps no link index and no undo log (LinkIndex,
+            record_undo, *_tentative).
 
   nondet    Nothing under src/ may introduce nondeterminism: no wall clocks,
             no unseeded randomness, no pointer-keyed ordered containers, and
@@ -98,6 +101,15 @@ BOUNDARY_BANNED = ["flow_sim", "port_bytes", "poll_port_stats", "flow_record",
 # owns a path, how adoption rebuilds a dead shard's keys) are banned for the
 # same reason: decision code asks the router, never the shard map.
 DECISION_FILE_COUNT = 18  # prefix of BOUNDARY_FILES the shard ban covers
+# One decision pipeline: planning is read-only on a view and commits replay
+# afterwards, so the committing planners and the table's undo log stay gone.
+RETIRED_BANNED = ["plan_and_commit", "flow_abandoned"]
+# The flow table holds flows and versions only: link queries and tentative
+# planning belong to the NetworkView built from it.
+TABLE_FILES = ["src/flowserver/flow_state.cpp",
+               "src/flowserver/flow_state.hpp"]
+TABLE_BANNED = ["LinkIndex", "record_undo", "begin_tentative",
+                "commit_tentative", "rollback_tentative"]
 SHARD_INTERNAL_BANNED = ["shard_of_node", "shard_of_path", "unload_shard",
                          "snapshot_shard_into", "shard_version",
                          "stamp_shard", "shard_stamp",
@@ -290,8 +302,13 @@ def check_boundary(root, findings, files=None):
     else:
         paths = [(os.path.join(root, f), i < DECISION_FILE_COUNT)
                  for i, f in enumerate(BOUNDARY_FILES)]
+    table_paths = {os.path.join(root, f) for f in TABLE_FILES}
     pattern = re.compile(
         r"\b(%s)\b" % "|".join(re.escape(b) for b in BOUNDARY_BANNED))
+    retired_pattern = re.compile(
+        r"\b(%s)\b" % "|".join(re.escape(b) for b in RETIRED_BANNED))
+    table_pattern = re.compile(
+        r"\b(%s)\b" % "|".join(re.escape(b) for b in TABLE_BANNED))
     shard_pattern = re.compile(
         r"\b(%s)\b" % "|".join(re.escape(b) for b in SHARD_INTERNAL_BANNED))
     for path, decision_file in paths:
@@ -309,6 +326,18 @@ def check_boundary(root, findings, files=None):
                 findings.append((path, idx, "boundary",
                                  "decision code names raw fabric/sim state "
                                  "'%s'" % m.group(1)))
+                continue
+            m = retired_pattern.search(line)
+            if m:
+                findings.append((path, idx, "boundary",
+                                 "names the retired serial pipeline '%s'" %
+                                 m.group(1)))
+                continue
+            m = table_pattern.search(line) if path in table_paths else None
+            if m:
+                findings.append((path, idx, "boundary",
+                                 "the flow table keeps no link index or "
+                                 "undo log: '%s'" % m.group(1)))
                 continue
             if decision_file:
                 m = shard_pattern.search(line)
@@ -1082,7 +1111,7 @@ def self_test(root):
         failures.append("good.cpp flagged: %s:%d [%s] %s" % f)
 
     expectations = {
-        "bad_boundary.cpp": ("boundary", 5),
+        "bad_boundary.cpp": ("boundary", 6),
         "bad_nondet.cpp": ("nondet", 4),
         "bad_guards.cpp": ("guards", 2),
         "bad_units.cpp": ("units", 3),

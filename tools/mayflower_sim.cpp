@@ -56,10 +56,9 @@ void usage() {
       "[--batch-size=N]\n"
       "                     [--decision-threads=N] "
       "[--topology=three_tier|fat_tree]\n"
-      "                     [--fat-k=N] [--shard-state] [--poll-groups=N]\n"
+      "                     [--fat-k=N] [--poll-groups=N]\n"
       "                     [--poll-budget=N] [--mouse-period=N]\n"
-      "                     [--shard-metrics] [--csv=FILE] "
-      "[--metrics-out=FILE]\n"
+      "                     [--csv=FILE] [--metrics-out=FILE]\n"
       "                     [--meta-shards=N] [--meta-async] "
       "[--meta-partition=hash|subtree]\n"
       "                     [--meta-ops=N] [--meta-service-us=F]\n"
@@ -86,9 +85,9 @@ int main(int argc, char** argv) {
   if (!flags.validate({"scheme", "lambda", "locality", "oversub", "jobs",
                        "warmup", "files", "block-mb", "seeds", "poll-sec",
                        "no-multiread", "no-freeze", "batch-size",
-                       "decision-threads", "topology", "fat-k", "shard-state",
+                       "decision-threads", "topology", "fat-k",
                        "poll-groups", "poll-budget", "mouse-period",
-                       "shard-metrics", "csv", "metrics-out",
+                       "csv", "metrics-out",
                        "meta-shards", "meta-async", "meta-partition",
                        "meta-ops", "meta-service-us", "write-placement",
                        "write-pipeline", "write-jobs", "write-lambda",
@@ -139,9 +138,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown topology '%s'\n", topology.c_str());
     return 2;
   }
-  // Sharded state plane: partition the Flowserver's table and view by edge
-  // switch. Decisions are byte-identical with or without the flag.
-  if (flags.get_bool("shard-state")) cfg.flowserver.shard_by_edge = true;
   const long long poll_groups = flags.get_int("poll-groups", 1);
   if (poll_groups < 1) {
     std::fprintf(stderr, "--poll-groups must be >= 1\n");
@@ -162,7 +158,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(poll_budget);
   cfg.flowserver.telemetry.mouse_period =
       static_cast<std::size_t>(mouse_period);
-  if (flags.get_bool("shard-metrics")) cfg.flowserver.shard_metrics = true;
   cfg.gen.total_jobs = static_cast<std::size_t>(flags.get_int("jobs", 1100));
   cfg.warmup_jobs = static_cast<std::size_t>(flags.get_int("warmup", 100));
   cfg.catalog.num_files =
@@ -182,12 +177,12 @@ int main(int argc, char** argv) {
     return 2;
   }
   cfg.flowserver.batch_size = static_cast<std::size_t>(batch);
-  // Decision parallelism: 0 (default) is the legacy serial pipeline; N >= 1
-  // evaluates each batch against one immutable snapshot with N workers.
-  // Decisions are identical at every N by construction.
-  const long long threads = flags.get_int("decision-threads", 0);
-  if (threads < 0) {
-    std::fprintf(stderr, "--decision-threads must be >= 0\n");
+  // Decision parallelism: each batch is evaluated against one immutable
+  // snapshot with N workers (1 = inline). Decisions are identical at every
+  // N by construction.
+  const long long threads = flags.get_int("decision-threads", 1);
+  if (threads < 1) {
+    std::fprintf(stderr, "--decision-threads must be >= 1\n");
     return 2;
   }
   cfg.flowserver.decision_threads = static_cast<std::size_t>(threads);
