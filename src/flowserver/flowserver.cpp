@@ -232,12 +232,52 @@ std::vector<ReadAssignment> Flowserver::finish_chain(
 void Flowserver::enqueue_read(net::NodeId client,
                               std::vector<net::NodeId> replicas, double bytes,
                               PlanCallback done, ReplicaChooser chooser) {
+  enqueue(read_request(client, std::move(replicas), bytes, std::move(done),
+                       std::move(chooser)));
+}
+
+void Flowserver::post_read(net::NodeId client,
+                           std::vector<net::NodeId> replicas, double bytes,
+                           PlanCallback done, ReplicaChooser chooser) {
+  post(read_request(client, std::move(replicas), bytes, std::move(done),
+                    std::move(chooser)));
+}
+
+void Flowserver::enqueue_write(std::vector<net::NodeId> chain, double bytes,
+                               PlanCallback done) {
+  enqueue(write_request(std::move(chain), bytes, std::move(done)));
+}
+
+void Flowserver::post_write(std::vector<net::NodeId> chain, double bytes,
+                            PlanCallback done) {
+  post(write_request(std::move(chain), bytes, std::move(done)));
+}
+
+Flowserver::PendingRead Flowserver::read_request(
+    net::NodeId client, std::vector<net::NodeId> replicas, double bytes,
+    PlanCallback done, ReplicaChooser chooser) {
   PendingRead p;
   p.client = client;
   p.replicas = std::move(replicas);
   p.bytes = bytes;
   p.chooser = std::move(chooser);
   p.done = std::move(done);
+  return p;
+}
+
+Flowserver::PendingRead Flowserver::write_request(
+    std::vector<net::NodeId> chain, double bytes, PlanCallback done) {
+  MAYFLOWER_ASSERT_MSG(chain.size() >= 2, "a write chain needs >= 2 hosts");
+  PendingRead p;
+  p.client = chain.front();
+  p.replicas = std::move(chain);
+  p.bytes = bytes;
+  p.write = true;
+  p.done = std::move(done);
+  return p;
+}
+
+void Flowserver::enqueue(PendingRead p) {
   bool size_triggered = false;
   bool arm_window = false;
   std::uint64_t gen = 0;
@@ -265,62 +305,7 @@ void Flowserver::enqueue_read(net::NodeId client,
   }
 }
 
-void Flowserver::post_read(net::NodeId client,
-                           std::vector<net::NodeId> replicas, double bytes,
-                           PlanCallback done, ReplicaChooser chooser) {
-  PendingRead p;
-  p.client = client;
-  p.replicas = std::move(replicas);
-  p.bytes = bytes;
-  p.chooser = std::move(chooser);
-  p.done = std::move(done);
-  common::MutexLock lock(queue_mu_);
-  queue_.push_back(std::move(p));
-}
-
-void Flowserver::enqueue_write(std::vector<net::NodeId> chain, double bytes,
-                               PlanCallback done) {
-  MAYFLOWER_ASSERT_MSG(chain.size() >= 2, "a write chain needs >= 2 hosts");
-  PendingRead p;
-  p.client = chain.front();
-  p.replicas = std::move(chain);
-  p.bytes = bytes;
-  p.write = true;
-  p.done = std::move(done);
-  bool size_triggered = false;
-  bool arm_window = false;
-  std::uint64_t gen = 0;
-  {
-    common::MutexLock lock(queue_mu_);
-    queue_.push_back(std::move(p));
-    size_triggered = queue_.size() >= config_.batch_size;
-    if (!size_triggered && !drain_armed_) {
-      drain_armed_ = true;
-      arm_window = true;
-      gen = drain_gen_;
-    }
-  }
-  if (size_triggered) {
-    drain();
-    return;
-  }
-  if (arm_window) {
-    fabric_->events().schedule_in(config_.batch_window, [this, gen] {
-      if (!drain_generation_is(gen)) return;
-      drain();
-    });
-  }
-}
-
-void Flowserver::post_write(std::vector<net::NodeId> chain, double bytes,
-                            PlanCallback done) {
-  MAYFLOWER_ASSERT_MSG(chain.size() >= 2, "a write chain needs >= 2 hosts");
-  PendingRead p;
-  p.client = chain.front();
-  p.replicas = std::move(chain);
-  p.bytes = bytes;
-  p.write = true;
-  p.done = std::move(done);
+void Flowserver::post(PendingRead p) {
   common::MutexLock lock(queue_mu_);
   queue_.push_back(std::move(p));
 }
@@ -522,15 +507,6 @@ std::vector<ReadAssignment> Flowserver::select_for_read(
   return out;
 }
 
-ReadAssignment Flowserver::select_path_for_replica(net::NodeId client,
-                                                   net::NodeId replica,
-                                                   double bytes) {
-  const std::vector<ReadAssignment> plan =
-      select_for_read(client, {replica}, bytes);
-  if (plan.empty()) return ReadAssignment{};  // cookie == 0: unreachable
-  return plan[0];
-}
-
 void Flowserver::flow_dropped(sdn::Cookie cookie) {
   table_.drop(cookie);
   telemetry_.forget(cookie);
@@ -541,10 +517,11 @@ net::NodeId Flowserver::best_write_target(
   MAYFLOWER_ASSERT(!candidates.empty());
   const net::NetworkView& v = view();
   // The ranking itself is a stateless policy over the view (the model-based
-  // default or an injected policy::WritePlacement); only the tie-break draw
-  // lives here. Ties are common (an idle fabric offers every candidate the
-  // same share) and MUST break randomly: deterministic ties would stack
-  // every file's replicas onto the same few hosts.
+  // default or an injected ranker such as policy::MeasuredWritePlacement);
+  // only the tie-break draw lives here. Ties are common (an idle fabric
+  // offers every candidate the same share) and MUST break randomly:
+  // deterministic ties would stack every file's replicas onto the same few
+  // hosts.
   const std::vector<net::NodeId> ties =
       write_ranker_ != nullptr
           ? write_ranker_(writer, candidates, v)

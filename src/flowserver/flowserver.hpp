@@ -94,10 +94,10 @@ class Flowserver {
   using ReplicaChooser = std::function<net::NodeId(
       net::NodeId client, const std::vector<net::NodeId>& replicas,
       const net::NetworkView& view)>;
-  // External write-placement policy hook (policy::WritePlacement): ranks
-  // candidate hosts for a new replica against the view and returns the
-  // tied-best band; best_write_target() breaks the tie with the seeded Rng.
-  // Null keeps the historical model-based ranking.
+  // External write-placement policy hook (policy::MeasuredWritePlacement):
+  // ranks candidate hosts for a new replica against the view and returns
+  // the tied-best band; best_write_target() breaks the tie with the seeded
+  // Rng. Null keeps the historical model-based ranking.
   using WriteRanker = std::function<std::vector<net::NodeId>(
       net::NodeId writer, const std::vector<net::NodeId>& candidates,
       const net::NetworkView& view)>;
@@ -167,12 +167,6 @@ class Flowserver {
   std::vector<ReadAssignment> select_for_read(
       net::NodeId client, const std::vector<net::NodeId>& replicas,
       double bytes);
-
-  // Variant with the replica fixed by an external policy (used for the
-  // "Nearest Mayflower", "Sinbad-R Mayflower" and "HDFS-Mayflower"
-  // comparisons): only the network path is optimized.
-  ReadAssignment select_path_for_replica(net::NodeId client,
-                                         net::NodeId replica, double bytes);
 
   // Synchronous wrapper (batch-of-one) for enqueue_write.
   std::vector<ReadAssignment> plan_write(const std::vector<net::NodeId>& chain,
@@ -256,6 +250,18 @@ class Flowserver {
     ReplicaChooser chooser;  // null: joint replica+path optimization
     PlanCallback done;
   };
+
+  static PendingRead read_request(net::NodeId client,
+                                  std::vector<net::NodeId> replicas,
+                                  double bytes, PlanCallback done,
+                                  ReplicaChooser chooser);
+  static PendingRead write_request(std::vector<net::NodeId> chain,
+                                   double bytes, PlanCallback done);
+  // The admission body of enqueue_read/enqueue_write: queues `p`, drains at
+  // once when the batch is full, else arms the batch-window drain.
+  void enqueue(PendingRead p) EXCLUDES(queue_mu_);
+  // The producer-thread-safe body of post_read/post_write: the locked push.
+  void post(PendingRead p) EXCLUDES(queue_mu_);
 
   ReadAssignment to_assignment(const Candidate& c, sdn::Cookie cookie,
                                double bytes) const;

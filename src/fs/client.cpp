@@ -218,8 +218,7 @@ void Client::send_append_rpc(const FileInfo& info, ExtentList data,
 
 void Client::do_append(const FileInfo& info, ExtentList data, bool retried,
                        AppendFn done) {
-  if (config_.write_pipeline && write_planner_ != nullptr &&
-      info.replicas.size() > 1) {
+  if (write_planner_ != nullptr && info.replicas.size() > 1) {
     do_append_pipelined(info, std::move(data), retried, std::move(done));
     return;
   }
@@ -229,28 +228,8 @@ void Client::do_append(const FileInfo& info, ExtentList data, bool retried,
     send_append_rpc(info, std::move(data), {}, retried, std::move(done));
     return;
   }
-  // Ship the bytes to the primary first, then issue the append RPC. The
-  // paper's system uses ECMP for writes (the co-design optimizes reads,
-  // §3.3); the co_designed_writes extension asks the scheme instead.
-  if (config_.co_designed_writes) {
-    planner_->plan(
-        primary, {node_}, static_cast<double>(data.size()),
-        [this, info, data = std::move(data), retried,
-         done = std::move(done)](
-            Status pstatus, std::vector<policy::ReadAssignment> plan) mutable {
-          MAYFLOWER_ASSERT(pstatus == Status::kOk && plan.size() == 1);
-          fabric_->start_flow(
-              plan[0].cookie, plan[0].path, plan[0].bytes,
-              [this, info, data = std::move(data), retried,
-               done = std::move(done)](sdn::Cookie cookie,
-                                       sim::SimTime) mutable {
-                planner_->flow_complete(node_, cookie);
-                send_append_rpc(info, std::move(data), {}, retried,
-                                std::move(done));
-              });
-        });
-    return;
-  }
+  // Ship the bytes to the primary over ECMP, then issue the append RPC (the
+  // paper's system co-designs only reads, §3.3).
   do_append_ecmp(info, std::move(data), retried, std::move(done));
 }
 

@@ -33,15 +33,6 @@ struct ClientConfig {
   // node failure").
   sim::SimTime meta_cache_ttl = sim::SimTime::from_seconds(60.0);
   std::uint32_t replication = 3;
-  // Extension: route append uploads through the read scheme's path
-  // selection (Flowserver for Mayflower clusters) instead of ECMP.
-  bool co_designed_writes = false;
-  // Extension: plan the WHOLE replication chain with the Flowserver
-  // (kPlanWrite) as one jointly-scheduled unit and carry the relay hops in
-  // the append RPC, so the primary pipelines the relay instead of fanning
-  // out. Requires a write planner (set_write_planner); degrades to the
-  // unplanned upload path when the chain is unroutable.
-  bool write_pipeline = false;
   // Read fault tolerance: a subrange whose transfer fails (killed flow, no
   // reachable replica) is retried against the surviving replicas after a
   // capped-exponential backoff, at most this many attempts in total.
@@ -99,8 +90,12 @@ class Client {
   // owned; must outlive the client.
   void set_meta_router(meta::MetaRouter* router) { router_ = router; }
 
-  // Write-chain planner for the write_pipeline extension. Not owned; null
-  // keeps appends on the legacy upload + fan-out path.
+  // Write-chain planner (the write_pipeline extension): when set, appends
+  // plan the WHOLE replication chain with the Flowserver (kPlanWrite) as one
+  // jointly-scheduled unit and carry the relay hops in the append RPC, so the
+  // primary pipelines the relay instead of fanning out; an unroutable chain
+  // degrades to the unplanned upload path. Not owned; null keeps appends on
+  // the paper's ECMP upload + fan-out path.
   void set_write_planner(WritePlanner* planner) { write_planner_ = planner; }
 
   // Telemetry.
@@ -149,7 +144,7 @@ class Client {
                     std::function<void(Status, ExtentList, std::uint64_t)> done);
   void do_append(const FileInfo& info, ExtentList data, bool retried,
                  AppendFn done);
-  // Chain-planned append (write_pipeline): plans writer -> primary ->
+  // Chain-planned append (write planner set): plans writer -> primary ->
   // secondaries as one kPlanWrite chain, ships the bytes over the planned
   // upload hop and carries the relay hops in the append RPC.
   void do_append_pipelined(const FileInfo& info, ExtentList data,

@@ -192,7 +192,6 @@ Cluster::Cluster(ClusterConfig config)
         return meta_plane_->owner_node_of(name);
       };
     }
-    if (config_.co_designed_writes) ds.write_scheduler = flow_server_.get();
     if (!ds.disk_root.empty()) {
       ds.disk_root = ds.disk_root / strfmt("ds%zu", i);
     }
@@ -257,15 +256,10 @@ Client& Cluster::client_at(net::NodeId host) {
   for (const auto& c : clients_) {
     if (c->node() == host) return *c;
   }
-  ClientConfig client_config = config_.client;
-  if (config_.co_designed_writes && flow_server_ != nullptr) {
-    client_config.co_designed_writes = true;
-  }
-  if (write_planner_ != nullptr) client_config.write_pipeline = true;
   clients_.push_back(std::make_unique<Client>(*transport_, *fabric_,
                                               *planner_, host,
                                               nameserver_node_,
-                                              client_config));
+                                              config_.client));
   clients_.back()->set_obs(config_.obs);
   if (write_planner_ != nullptr) {
     clients_.back()->set_write_planner(write_planner_);

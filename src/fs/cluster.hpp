@@ -40,11 +40,9 @@ struct ClusterConfig {
   ClientConfig client{};
   sim::SimTime rpc_latency = sim::SimTime::from_micros(200);
   std::uint64_t seed = 1;
-  // Extensions beyond the paper's evaluated system (both default off, as in
-  // the paper): Flowserver-collaborative replica placement at create time,
-  // and Flowserver-scheduled append/relay flows (writes co-design).
+  // Extension beyond the paper's evaluated system (default off, as in the
+  // paper): Flowserver-collaborative replica placement at create time.
   bool collaborative_placement = false;
-  bool co_designed_writes = false;
   // Which ranking the write-placement decisions use (create-time advisor
   // and Flowserver write-target selection). kModel (default) is the
   // believed-share ranking — byte-identical to the historical behavior;
@@ -52,9 +50,10 @@ struct ClusterConfig {
   // disables the placement advisor entirely (nameserver default spread).
   policy::WritePlacementKind write_placement =
       policy::WritePlacementKind::kModel;
-  // Flowserver-planned pipelined chain replication for appends: clients
-  // plan writer -> primary -> secondaries as one kPlanWrite chain and the
-  // primary pipelines the relay instead of fanning out. Off = legacy.
+  // Flowserver-planned pipelined chain replication for appends — the one
+  // Flowserver-scheduled write path: clients plan writer -> primary ->
+  // secondaries as one kPlanWrite chain and the primary pipelines the relay
+  // instead of fanning out. Off = the paper's ECMP upload + fan-out.
   bool write_pipeline = false;
   // When true (default, matching the prototype in §5) the Flowserver is an
   // RPC service on a controller node and every selection costs a round

@@ -14,7 +14,6 @@
 #include <filesystem>
 #include <unordered_map>
 
-#include "flowserver/flowserver.hpp"
 #include "fs/rpc/transport.hpp"
 #include "net/ecmp.hpp"
 #include "obs/observability.hpp"
@@ -30,10 +29,6 @@ struct DataserverConfig {
   // Sharded metadata plane: when set, size reports are routed per file name
   // to the nameserver shard owning the path (overrides `nameserver`).
   std::function<net::NodeId(const std::string& name)> nameserver_resolver;
-  // Extension: when set, append relay flows are routed by the Flowserver
-  // (cost-based path selection) instead of ECMP — the write-path co-design
-  // the paper leaves as future work.
-  flowserver::Flowserver* write_scheduler = nullptr;
 };
 
 class Dataserver {

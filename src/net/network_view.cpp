@@ -202,12 +202,6 @@ void NetworkView::begin_tentative() {
   undo_.clear();
 }
 
-void NetworkView::commit_tentative() {
-  MAYFLOWER_ASSERT_MSG(tentative_, "no tentative scope open");
-  tentative_ = false;
-  undo_.clear();
-}
-
 void NetworkView::rollback_tentative() {
   MAYFLOWER_ASSERT_MSG(tentative_, "no tentative scope open");
   for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {

@@ -149,10 +149,9 @@ class NetworkView {
   // --- tentative scope (read-only planning) -----------------------------
   //
   // A bounded undo log: first-touch prior state is recorded between begin
-  // and commit/rollback; scopes do not nest.
+  // and rollback, which restores it; scopes do not nest.
 
   void begin_tentative();
-  void commit_tentative();
   void rollback_tentative();
   bool tentative_active() const { return tentative_; }
 

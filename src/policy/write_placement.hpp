@@ -9,8 +9,9 @@
 //               for collaborative placement: each candidate scores the
 //               max-min share a new write flow from the writer would get
 //               over its best path (writer-local candidates score the
-//               zero-hop rate). Exact same definition as the historical
-//               Flowserver::best_write_target — extraction, not a rewrite.
+//               zero-hop rate). It is the Flowserver's default ranking
+//               (flowserver::rank_write_targets_by_model, used while no
+//               write ranker is installed); there is no policy object.
 //  * measured — Sinbad-faithful: candidates score the MEASURED headroom
 //               (capacity minus LinkRateMonitor tx rate, bottlenecked over
 //               the best writer->candidate path) instead of the model's
@@ -18,7 +19,7 @@
 //               blind to flows the monitor has not sampled yet.
 //  * static   — no advisor at all: the nameserver keeps the paper's random
 //               fault-domain-constrained placement. Represented by kStatic
-//               in the selector enum; there is no WritePlacement object.
+//               in the selector enum; there is no policy object.
 //
 // rank() returns the tied-best band, never a single winner: ties are common
 // on an idle fabric and the CALLER must break them with its own seeded Rng,
@@ -41,44 +42,18 @@ const char* to_string(WritePlacementKind kind);
 // Parses "static" | "model" | "measured"; nullopt on anything else.
 std::optional<WritePlacementKind> parse_write_placement(const std::string& s);
 
-class WritePlacement {
+// Sinbad-faithful write placement (see above). The fs cluster installs it as
+// the Flowserver's write ranker (Flowserver::set_write_ranker).
+class MeasuredWritePlacement {
  public:
-  virtual ~WritePlacement() = default;
+  explicit MeasuredWritePlacement(net::PathCache& paths) : paths_(&paths) {}
 
   // Ranks `candidates` (non-empty) as homes for a new replica written by
   // `writer` and returns the tied-best band (original order preserved,
   // never empty).
-  virtual std::vector<net::NodeId> rank(
-      net::NodeId writer, const std::vector<net::NodeId>& candidates,
-      const net::NetworkView& view) = 0;
-
-  virtual const char* name() const = 0;
-};
-
-class ModelWritePlacement final : public WritePlacement {
- public:
-  ModelWritePlacement(const flowserver::BandwidthModel& model,
-                      net::PathCache& paths)
-      : model_(&model), paths_(&paths) {}
-
   std::vector<net::NodeId> rank(net::NodeId writer,
                                 const std::vector<net::NodeId>& candidates,
-                                const net::NetworkView& view) override;
-  const char* name() const override { return "model"; }
-
- private:
-  const flowserver::BandwidthModel* model_;
-  net::PathCache* paths_;
-};
-
-class MeasuredWritePlacement final : public WritePlacement {
- public:
-  explicit MeasuredWritePlacement(net::PathCache& paths) : paths_(&paths) {}
-
-  std::vector<net::NodeId> rank(net::NodeId writer,
-                                const std::vector<net::NodeId>& candidates,
-                                const net::NetworkView& view) override;
-  const char* name() const override { return "measured"; }
+                                const net::NetworkView& view) const;
 
   // Measured bytes/s still available on the best writer->candidate path:
   // max over paths of (min over links of capacity - tx rate). Writer-local

@@ -96,7 +96,7 @@ TEST_F(FlowserverTest, PathOnlySelectionRespectsReplica) {
   Flowserver server(fabric_, default_config());
   const net::NodeId replica = tree_.hosts[16];
   const auto a =
-      server.select_path_for_replica(tree_.hosts[0], replica, 64e6);
+      server.select_for_read(tree_.hosts[0], {replica}, 64e6).at(0);
   EXPECT_EQ(a.replica, replica);
   EXPECT_EQ(a.path.nodes.front(), replica);
   EXPECT_EQ(a.path.nodes.back(), tree_.hosts[0]);
@@ -114,7 +114,7 @@ TEST_F(FlowserverTest, PathSchedulerSpreadsLoadAcrossCorePaths) {
   std::set<std::vector<net::LinkId>> distinct_paths;
   std::vector<ReadAssignment> all;
   for (int i = 0; i < 4; ++i) {
-    const auto a = server.select_path_for_replica(client, replica, 256e6);
+    const auto a = server.select_for_read(client, {replica}, 256e6).at(0);
     distinct_paths.insert(a.path.links);
     all.push_back(a);
     fabric_.start_flow(a.cookie, a.path, a.bytes, nullptr);
@@ -143,8 +143,8 @@ TEST_F(FlowserverTest, StatsPollRefreshesUnfrozenEstimates) {
   execute(server, assignments);
 
   // Competing flow on the same edge link halves the real rate to 62.5e6.
-  const auto competing = server.select_path_for_replica(
-      tree_.hosts[2], tree_.hosts[1], 500e6);
+  const auto competing =
+      server.select_for_read(tree_.hosts[2], {tree_.hosts[1]}, 500e6).at(0);
   fabric_.start_flow(competing.cookie, competing.path, competing.bytes,
                      nullptr);
 
@@ -167,8 +167,8 @@ TEST_F(FlowserverTest, FrozenEstimateSurvivesFirstPoll) {
   const double estimate = assignments[0].est_bw_bps;
   execute(server, assignments);
   // Competing flow makes the measured rate diverge from the estimate...
-  const auto competing = server.select_path_for_replica(
-      tree_.hosts[2], tree_.hosts[1], 500e6);
+  const auto competing =
+      server.select_for_read(tree_.hosts[2], {tree_.hosts[1]}, 500e6).at(0);
   fabric_.start_flow(competing.cookie, competing.path, competing.bytes,
                      nullptr);
   events_.run_until(sim::SimTime::from_seconds(1.5));
@@ -203,7 +203,7 @@ TEST_F(FlowserverTest, BestWriteTargetPrefersUncontendedHost) {
   const net::NodeId quiet = tree_.hosts[24];
 
   // Saturate `busy`'s downlink with a tracked flow (a read INTO it).
-  const auto a = server.select_path_for_replica(busy, tree_.hosts[21], 1e9);
+  const auto a = server.select_for_read(busy, {tree_.hosts[21]}, 1e9).at(0);
   fabric_.start_flow(a.cookie, a.path, a.bytes, nullptr);
 
   EXPECT_EQ(server.best_write_target(writer, {busy, quiet}), quiet);
@@ -229,7 +229,7 @@ TEST_F(FlowserverTest, EstimatesAgreeWithGroundTruthAfterPoll) {
   // Two long flows sharing host[1]'s uplink: true rate 62.5 MB/s each.
   std::vector<sdn::Cookie> cookies;
   for (const net::NodeId dst : {tree_.hosts[0], tree_.hosts[2]}) {
-    const auto a = server.select_path_for_replica(dst, tree_.hosts[1], 1e9);
+    const auto a = server.select_for_read(dst, {tree_.hosts[1]}, 1e9).at(0);
     fabric_.start_flow(a.cookie, a.path, a.bytes, nullptr);
     cookies.push_back(a.cookie);
   }

@@ -468,13 +468,17 @@ TEST(Cluster, CollaborativePlacementKeepsFaultDomains) {
 }
 
 TEST(Cluster, CoDesignedWritesRoundTrip) {
+  // A Flowserver-planned chain append (write_pipeline) reads back intact,
+  // and every replica down the chain holds the same bytes.
   ClusterConfig cfg = small_config();
-  cfg.co_designed_writes = true;
+  cfg.write_pipeline = true;
   Cluster cluster(cfg);
   Client& client = cluster.client_at(cluster.tree().hosts[3]);
   bool done = false;
+  FileInfo created;
   const ExtentList payload(Extent::pattern(77, 4200));
-  client.create("codesigned", [&](Status, const FileInfo&) {
+  client.create("codesigned", [&](Status, const FileInfo& info) {
+    created = info;
     client.append("codesigned", payload, [&](Status as, const AppendResp&) {
       ASSERT_EQ(as, Status::kOk);
       client.read_file("codesigned", [&](Status rs, ReadResult result) {
@@ -485,8 +489,15 @@ TEST(Cluster, CoDesignedWritesRoundTrip) {
     });
   });
   run_until_done(cluster, done);
-  // Upload + two relays + the read all consulted the Flowserver.
-  EXPECT_GE(cluster.flow_server()->selections(), 4u);
+  EXPECT_EQ(cluster.flow_server()->write_chains(), 1u);
+  EXPECT_EQ(cluster.dataserver_at(created.primary()).chain_appends(), 1u);
+  ASSERT_EQ(created.replicas.size(), 3u);
+  for (const net::NodeId rep : created.replicas) {
+    const ExtentList* stored =
+        cluster.dataserver_at(rep).file_data(created.uuid);
+    ASSERT_NE(stored, nullptr) << "replica on host " << rep;
+    EXPECT_TRUE(stored->content_equals(payload)) << "replica on host " << rep;
+  }
 }
 
 

@@ -145,21 +145,6 @@ TEST_F(NetworkViewTest, RollbackResurrectsDroppedFlow) {
   ASSERT_EQ(view_.flows_on_path(p).size(), 1u);  // back in the index
 }
 
-TEST_F(NetworkViewTest, CommitKeepsTentativeMutations) {
-  const Path p = path_between(tree_.hosts[0], tree_.hosts[1]);
-  view_.begin_tentative();
-  view_.add_flow(5, p, 8e6, 2e6);
-  view_.commit_tentative();
-  EXPECT_FALSE(view_.tentative_active());
-  ASSERT_NE(view_.find(5), nullptr);
-  // The scope is closed: further mutations are permanent, a new scope
-  // starts from the committed state.
-  view_.begin_tentative();
-  view_.drop_flow(5);
-  view_.rollback_tentative();
-  EXPECT_NE(view_.find(5), nullptr);
-}
-
 TEST_F(NetworkViewTest, UnloadShardRemovesOnlyThatShardsFlows) {
   view_.set_shard_map(ShardMap::by_edge_switch(tree_.topo));
   ASSERT_GT(view_.shard_count(), 1u);

@@ -415,14 +415,60 @@ TEST(ClusterWritePath, RereplicationRepairsAChainShortReplica) {
   }
 }
 
+TEST(ClusterWritePath, RelayHopsLeaveTheFlowserverTableAtTheNextPoll) {
+  // The client reports the upload hop (hop 0) dropped when its flow ends,
+  // as it does for reads. Nobody reports the relay hops: the Flowserver
+  // forgets them at the first stats poll after they finish, when it reads
+  // their final counters — up to one poll_interval later.
+  for (const bool over_rpc : {true, false}) {
+    SCOPED_TRACE(over_rpc ? "flowserver over RPC" : "in-process flowserver");
+    fs::ClusterConfig cfg = pipeline_config();
+    cfg.nameserver.chunk_size = 256'000'000;
+    cfg.flowserver_over_rpc = over_rpc;
+    fs::Cluster cluster(cfg);
+    fs::Client& client = cluster.client_at(cluster.tree().hosts[3]);
+    bool created_ok = false;
+    fs::FileInfo created;
+    client.create("lingering", [&](fs::Status s, const fs::FileInfo& info) {
+      ASSERT_EQ(s, fs::Status::kOk);
+      created = info;
+      created_ok = true;
+    });
+    run_until_done(cluster, created_ok);
+    ASSERT_EQ(created.replicas.size(), 3u);
+    ASSERT_NE(created.primary(), cluster.tree().hosts[3]);  // hop 0 exists
+
+    bool done = false;
+    client.append("lingering",
+                  fs::ExtentList(fs::Extent::pattern(5, 250'000'000)),
+                  [&](fs::Status as, const fs::AppendResp&) {
+                    EXPECT_EQ(as, fs::Status::kOk);
+                    done = true;
+                  });
+    run_until_done(cluster, done);
+    flowserver::Flowserver& server = *cluster.flow_server();
+    ASSERT_EQ(server.write_chains(), 1u);
+    ASSERT_EQ(server.write_hops(), 3u);
+    // Every hop's bytes landed (the relays were acked), yet relay hops are
+    // still believed; hop 0 is already gone.
+    const sim::SimTime acked = cluster.events().now();
+    EXPECT_GE(server.table().size(), 1u);
+    EXPECT_LE(server.table().size(), 2u);
+
+    const std::uint64_t polls = server.polls();
+    while (server.polls() == polls) cluster.events().step();
+    EXPECT_EQ(server.table().size(), 0u);
+    EXPECT_LE(cluster.events().now() - acked, cfg.flowserver.poll_interval);
+  }
+}
+
 TEST(ClusterWritePath, StillbornFanoutRelayIsCountedNotSilent) {
   obs::Observability hub;
   fs::ClusterConfig cfg;
   cfg.nameserver.chunk_size = 1000;
   cfg.client.replication = 3;
   cfg.seed = 5;
-  cfg.co_designed_writes = true;  // legacy fan-out with the write scheduler
-  cfg.obs = &hub;
+  cfg.obs = &hub;  // write_pipeline off: the ECMP fan-out relay
   fs::Cluster cluster(cfg);
   fs::Client& client = cluster.client_at(cluster.tree().hosts[3]);
   bool created_ok = false;
@@ -434,9 +480,9 @@ TEST(ClusterWritePath, StillbornFanoutRelayIsCountedNotSilent) {
   });
   run_until_done(cluster, created_ok);
 
-  // Crash a secondary (downs its access links too): the scheduler finds no
-  // path, the relay is stillborn — it must be counted, and the ack must
-  // still reach the client.
+  // Crash a secondary (downs its access links too): every ECMP relay path
+  // to it crosses a downed link, so the relay flow is stillborn — it must
+  // be counted, and the ack must still reach the client.
   fault::FaultPlan plan;
   plan.events.push_back(
       {cluster.events().now() + sim::SimTime::from_millis(50.0),

@@ -1,5 +1,6 @@
-// Fixture: decision code reaching past the NetworkView. Exactly six
-// violations — the comment and string mentions of flow_sim must NOT count.
+// Fixture: decision code reaching past the NetworkView, and fs data-plane
+// code reaching past its planners. Exactly seven violations — the comment
+// and string mentions of flow_sim and Flowserver must NOT count.
 namespace fixture {
 
 struct Fabric {
@@ -35,6 +36,14 @@ inline int plan_twice(Fabric& f) {
   (void)f;
   // plan_and_commit in prose is fine; the call below is not.
   return f.plan_and_commit(1);       // violation 6: retired serial pipeline
+}
+
+inline bool relay_scheduler(Fabric& f) {
+  // A raw flowserver::Flowserver in prose is fine; the line below is not.
+  const char* note = "co_designed_writes";  // string mention: fine
+  (void)note;
+  flowserver::Flowserver* scheduler = f.write_scheduler;  // violation 7
+  return scheduler != nullptr;
 }
 
 }  // namespace fixture

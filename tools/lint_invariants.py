@@ -12,7 +12,11 @@ banned identifier does not trip the gate):
             port_bytes, poll_port_stats, flow_record, switch_at), nor the
             retired serial pipeline (plan_and_commit, flow_abandoned); the
             flow table keeps no link index and no undo log (LinkIndex,
-            record_undo, *_tentative).
+            record_undo, *_tentative). The fs data plane (client,
+            dataserver) reaches the controller only through the fs
+            ReadPlanner/WritePlanner interfaces: it never names Flowserver,
+            nor the retired write scheduler (write_scheduler,
+            co_designed_writes).
 
   nondet    Nothing under src/ may introduce nondeterminism: no wall clocks,
             no unseeded randomness, no pointer-keyed ordered containers, and
@@ -110,6 +114,12 @@ TABLE_FILES = ["src/flowserver/flow_state.cpp",
                "src/flowserver/flow_state.hpp"]
 TABLE_BANNED = ["LinkIndex", "record_undo", "begin_tentative",
                 "commit_tentative", "rollback_tentative"]
+# The fs data plane talks to the controller through fs::ReadPlanner /
+# WritePlanner (an RPC stub or an in-process adapter), never through a raw
+# Flowserver — and the in-process write scheduler stays gone.
+DATA_PLANE_FILES = ["src/fs/client.cpp", "src/fs/client.hpp",
+                    "src/fs/dataserver.cpp", "src/fs/dataserver.hpp"]
+DATA_PLANE_BANNED = ["Flowserver", "write_scheduler", "co_designed_writes"]
 SHARD_INTERNAL_BANNED = ["shard_of_node", "shard_of_path", "unload_shard",
                          "snapshot_shard_into", "shard_version",
                          "stamp_shard", "shard_stamp",
@@ -297,11 +307,18 @@ def iter_source_files(root, subdir="src"):
 
 
 def check_boundary(root, findings, files=None):
+    # Fixtures get every rule; in the tree, the data-plane files get only
+    # the data-plane rule (they are not decision code).
+    data_plane_only = set()
     if files is not None:
         paths = [(p, True) for p in files]
+        data_plane_paths = set(files)
     else:
         paths = [(os.path.join(root, f), i < DECISION_FILE_COUNT)
                  for i, f in enumerate(BOUNDARY_FILES)]
+        data_plane_only = {os.path.join(root, f) for f in DATA_PLANE_FILES}
+        data_plane_paths = data_plane_only
+        paths += [(p, False) for p in sorted(data_plane_only)]
     table_paths = {os.path.join(root, f) for f in TABLE_FILES}
     pattern = re.compile(
         r"\b(%s)\b" % "|".join(re.escape(b) for b in BOUNDARY_BANNED))
@@ -311,6 +328,8 @@ def check_boundary(root, findings, files=None):
         r"\b(%s)\b" % "|".join(re.escape(b) for b in TABLE_BANNED))
     shard_pattern = re.compile(
         r"\b(%s)\b" % "|".join(re.escape(b) for b in SHARD_INTERNAL_BANNED))
+    data_plane_pattern = re.compile(
+        r"\b(%s)\b" % "|".join(re.escape(b) for b in DATA_PLANE_BANNED))
     for path, decision_file in paths:
         if not os.path.exists(path):
             findings.append((path, 0, "boundary",
@@ -320,6 +339,16 @@ def check_boundary(root, findings, files=None):
             code, raw = strip_comments_and_strings(f.read())
         for idx, line in enumerate(code, start=1):
             if waived(raw, idx, "boundary"):
+                continue
+            m = (data_plane_pattern.search(line)
+                 if path in data_plane_paths else None)
+            if m:
+                findings.append((path, idx, "boundary",
+                                 "the fs data plane reaches the controller "
+                                 "only through its planners: '%s'" %
+                                 m.group(1)))
+                continue
+            if path in data_plane_only:
                 continue
             m = pattern.search(line)
             if m:
@@ -1111,7 +1140,7 @@ def self_test(root):
         failures.append("good.cpp flagged: %s:%d [%s] %s" % f)
 
     expectations = {
-        "bad_boundary.cpp": ("boundary", 6),
+        "bad_boundary.cpp": ("boundary", 7),
         "bad_nondet.cpp": ("nondet", 4),
         "bad_guards.cpp": ("guards", 2),
         "bad_units.cpp": ("units", 3),
