@@ -2,58 +2,77 @@
 
 #include <algorithm>
 
+#include "common/assert.hpp"
 #include "net/fair_share.hpp"
 
 namespace mayflower::flowserver {
+namespace {
 
-double BandwidthModel::link_share_with_extra(
-    const net::NetworkView& view, net::LinkId link, double extra_demand,
-    const net::NetworkView::Flow* report, double* report_share) const {
-  // Indexed lookup: only the flows actually crossing `link`, in cookie
-  // order, rather than a scan over the whole view.
-  const auto flows = view.flows_on_link(link);
+// One link's water-fill input: its believed flows' shares in key order, then
+// one slot for the extra (new) flow's demand.
+std::vector<double> demands_with_extra(
+    const std::vector<const net::NetworkView::Flow*>& flows,
+    double extra_demand) {
   std::vector<double> demands;
   demands.reserve(flows.size() + 1);
-  std::size_t report_index = flows.size();  // sentinel
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    demands.push_back(flows[i]->bw_bps);
-    if (report != nullptr && flows[i]->key == report->key) {
-      report_index = i;
-    }
-  }
+  for (const net::NetworkView::Flow* f : flows) demands.push_back(f->bw_bps);
   demands.push_back(extra_demand);
-  const std::vector<double> shares =
-      net::waterfill_link(view.capacity_bps(link), demands);
-  if (report_share != nullptr) {
-    *report_share = report_index < flows.size() ? shares[report_index] : -1.0;
-  }
-  return shares.back();
+  return demands;
 }
+
+}  // namespace
 
 double BandwidthModel::new_flow_share(const net::NetworkView& view,
                                       const net::Path& path) const {
   if (path.links.empty()) return zero_hop_bps_;
   double share = net::kInfiniteDemand;
   for (const net::LinkId l : path.links) {
-    share = std::min(share, link_share_with_extra(view, l,
-                                                  net::kInfiniteDemand,
-                                                  nullptr, nullptr));
+    const std::vector<double> shares = net::waterfill_link(
+        view.capacity_bps(l),
+        demands_with_extra(view.flows_on_link(l), net::kInfiniteDemand));
+    share = std::min(share, shares.back());
   }
   return share;
 }
 
-double BandwidthModel::reduced_share(const net::NetworkView& view,
-                                     const net::NetworkView::Flow& f,
-                                     const net::Path& path,
-                                     double new_flow_bps) const {
-  double share = f.bw_bps;
-  for (const net::LinkId l : path.links) {
-    if (!f.path.contains_link(l)) continue;
-    double f_share = -1.0;
-    link_share_with_extra(view, l, new_flow_bps, &f, &f_share);
-    if (f_share >= 0.0) share = std::min(share, f_share);
+BandwidthModel::PathShares BandwidthModel::path_shares(
+    const net::NetworkView& view, const net::Path& path) const {
+  PathShares out;
+  if (path.links.empty()) {
+    out.new_flow_bps = zero_hop_bps_;
+    return out;
   }
-  return share;
+  const std::size_t n = path.links.size();
+  std::vector<std::vector<const net::NetworkView::Flow*>> on_link(n);
+  std::vector<std::vector<double>> demands(n);
+  out.new_flow_bps = net::kInfiniteDemand;
+  for (std::size_t i = 0; i < n; ++i) {
+    on_link[i] = view.flows_on_link(path.links[i]);
+    demands[i] = demands_with_extra(on_link[i], net::kInfiniteDemand);
+    out.new_flow_bps = std::min(
+        out.new_flow_bps,
+        net::waterfill_link(view.capacity_bps(path.links[i]), demands[i])
+            .back());
+  }
+
+  out.flows = view.flows_on_path(path);
+  out.reduced_bps.reserve(out.flows.size());
+  for (const net::NetworkView::Flow* f : out.flows) {
+    out.reduced_bps.push_back(f->bw_bps);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    demands[i].back() = out.new_flow_bps;
+    const std::vector<double> shares =
+        net::waterfill_link(view.capacity_bps(path.links[i]), demands[i]);
+    // on_link[i] is a key-ordered subset of out.flows: one merge walk.
+    std::size_t j = 0;
+    for (std::size_t k = 0; k < on_link[i].size(); ++k) {
+      while (j < out.flows.size() && out.flows[j] != on_link[i][k]) ++j;
+      MAYFLOWER_ASSERT_MSG(j < out.flows.size(), "link flow not on the path");
+      out.reduced_bps[j] = std::min(out.reduced_bps[j], shares[k]);
+    }
+  }
+  return out;
 }
 
 }  // namespace mayflower::flowserver

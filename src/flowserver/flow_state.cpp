@@ -211,10 +211,36 @@ void FlowStateTable::update_from_stats(sdn::Cookie cookie,
   }
 }
 
+namespace {
+
+net::NetworkView::Flow view_flow(const TrackedFlow& f) {
+  net::NetworkView::Flow v;
+  v.key = f.cookie;
+  v.path = f.path;
+  v.size_bytes = f.size_bytes;
+  v.remaining_bytes = f.remaining_bytes;
+  v.bw_bps = f.bw_bps;
+  return v;
+}
+
+}  // namespace
+
 void FlowStateTable::snapshot_into(net::NetworkView& view) const {
-  for (std::uint32_t s = 0; s < shard_count(); ++s) {
-    snapshot_shard_into(view, s);
+  // Copy shard by shard (one lock at a time), then load in global cookie
+  // order so every per-link index insert is an append rather than a
+  // mid-vector one. Sorting (cookie, slot) pairs moves no Flow.
+  std::vector<net::NetworkView::Flow> flows;
+  for (const auto& sh : shards_) {
+    common::MutexLock lock(sh->mu);
+    for (const auto& [cookie, f] : sh->flows) flows.push_back(view_flow(f));
   }
+  std::vector<std::pair<sdn::Cookie, std::size_t>> order;
+  order.reserve(flows.size());
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    order.emplace_back(flows[i].key, i);
+  }
+  std::sort(order.begin(), order.end());
+  for (const auto& [cookie, i] : order) view.load_flow(std::move(flows[i]));
 }
 
 void FlowStateTable::snapshot_shard_into(net::NetworkView& view,
@@ -222,15 +248,7 @@ void FlowStateTable::snapshot_shard_into(net::NetworkView& view,
   MAYFLOWER_ASSERT(s < shards_.size());
   const Shard& sh = *shards_[s];
   common::MutexLock lock(sh.mu);
-  for (const auto& [cookie, f] : sh.flows) {
-    net::NetworkView::Flow v;
-    v.key = cookie;
-    v.path = f.path;
-    v.size_bytes = f.size_bytes;
-    v.remaining_bytes = f.remaining_bytes;
-    v.bw_bps = f.bw_bps;
-    view.load_flow(std::move(v));
-  }
+  for (const auto& [cookie, f] : sh.flows) view.load_flow(view_flow(f));
 }
 
 }  // namespace mayflower::flowserver

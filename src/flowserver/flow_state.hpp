@@ -116,8 +116,8 @@ class FlowStateTable {
   // mutated, so a snapshot consumer reloads exactly the shards that changed.
   std::uint64_t shard_version(std::uint32_t s) const;
 
-  // Copies every tracked flow into `view` — the belief section of a
-  // decision snapshot.
+  // Copies every tracked flow into `view`, in cookie order — the belief
+  // section of a decision snapshot.
   void snapshot_into(net::NetworkView& view) const;
 
   // Copies only shard `s`'s flows into `view` (per-shard reload; pair with

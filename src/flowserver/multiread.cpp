@@ -38,7 +38,7 @@ std::vector<SubflowPlan> MultiReadPlanner::plan_readonly(
         // Subflow 1's adjusted share if subflow 2 landed. best2 itself never
         // needs applying: the accept/reject test and the split sizing are
         // pure arithmetic over (b1_adjusted, b2). bumped holds at most ONE
-        // entry per flow: flows_on_path deduplicates, and reduced_share
+        // entry per flow: flows_on_path deduplicates, and path_shares
         // already mins over every link the two paths share.
         double b1_adjusted = b1;
         bool matched = false;

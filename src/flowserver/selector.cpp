@@ -14,15 +14,17 @@ Candidate evaluate_path(const BandwidthModel& model,
   Candidate c;
   c.replica = replica;
   c.path = path;
-  c.est_bw_bps = model.new_flow_share(view, path);
+  const BandwidthModel::PathShares shares = model.path_shares(view, path);
+  c.est_bw_bps = shares.new_flow_bps;
   MAYFLOWER_ASSERT_MSG(c.est_bw_bps > 0.0, "estimated share must be positive");
   c.cost.own_time = request_bytes / c.est_bw_bps;
 
-  // flows_on_path is indexed (union of per-link flow sets, cookie order), so
-  // the impact term costs O(flows actually sharing the path), not O(table).
-  for (const net::NetworkView::Flow* f : view.flows_on_path(path)) {
+  // shares.flows is flows_on_path (cookie order), so the impact term costs
+  // O(flows actually sharing the path), not O(table).
+  for (std::size_t i = 0; i < shares.flows.size(); ++i) {
+    const net::NetworkView::Flow* f = shares.flows[i];
     const double cur = f->bw_bps;
-    const double reduced = model.reduced_share(view, *f, path, c.est_bw_bps);
+    const double reduced = shares.reduced_bps[i];
     if (reduced < cur) {
       const double r = f->remaining_bytes;
       c.cost.impact += r / reduced - r / cur;

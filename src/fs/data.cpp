@@ -1,6 +1,8 @@
 #include "fs/data.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "common/assert.hpp"
 #include "common/crc32.hpp"
@@ -11,9 +13,29 @@ namespace {
 
 // Pattern byte at absolute stream position i: cheap, stateless, and stable
 // across slicing (the property appends/reads rely on for verification).
+// Byte i is byte (i mod 8) of the little-endian word splitmix64(seed ^ i/8).
 std::uint8_t pattern_byte(std::uint64_t seed, std::uint64_t i) {
   const std::uint64_t word = splitmix64(seed ^ (i >> 3));
   return static_cast<std::uint8_t>(word >> ((i & 7) * 8));
+}
+
+// Writes pattern bytes [pos, pos + n) to `out`: one splitmix64 per whole
+// word, byte by byte only for a partial word at either end.
+void fill_pattern(std::uint64_t seed, std::uint64_t pos, std::uint8_t* out,
+                  std::size_t n) {
+  std::size_t i = 0;
+  for (; i < n && (pos & 7) != 0; ++i, ++pos) out[i] = pattern_byte(seed, pos);
+  for (; n - i >= 8; i += 8, pos += 8) {
+    const std::uint64_t word = splitmix64(seed ^ (pos >> 3));
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(out + i, &word, sizeof word);
+    } else {
+      for (unsigned b = 0; b < 8; ++b) {
+        out[i + b] = static_cast<std::uint8_t>(word >> (b * 8));
+      }
+    }
+  }
+  for (; i < n; ++i, ++pos) out[i] = pattern_byte(seed, pos);
 }
 
 }  // namespace
@@ -60,9 +82,8 @@ std::string Extent::materialize(std::uint64_t limit) const {
   if (size() > limit) return {};
   if (kind_ == Kind::kInline) return inline_bytes_;
   std::string out(size_, '\0');
-  for (std::uint64_t i = 0; i < size_; ++i) {
-    out[i] = static_cast<char>(pattern_byte(seed_, offset_ + i));
-  }
+  fill_pattern(seed_, offset_, reinterpret_cast<std::uint8_t*>(out.data()),
+               out.size());
   return out;
 }
 
@@ -76,9 +97,7 @@ std::uint32_t Extent::checksum() const {
     const auto n =
         static_cast<std::size_t>(std::min<std::uint64_t>(sizeof buf,
                                                          size_ - done));
-    for (std::size_t i = 0; i < n; ++i) {
-      buf[i] = pattern_byte(seed_, offset_ + done + i);
-    }
+    fill_pattern(seed_, offset_ + done, buf, n);
     crc = crc32(buf, n, crc);
     done += n;
   }

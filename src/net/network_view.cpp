@@ -90,10 +90,13 @@ void NetworkView::set_flow_stats(std::uint64_t key, FlowStats stats) {
 }
 
 void NetworkView::load_flow(Flow f) {
-  MAYFLOWER_ASSERT_MSG(flows_.find(f.key) == flows_.end(),
-                       "view already holds this flow key");
+  // Hinted at the end: a full rebuild loads in key order, so each insert is
+  // amortized O(1); a single-shard reload falls back to a normal insert.
   const std::uint64_t key = f.key;
-  const auto it = flows_.emplace(key, std::move(f)).first;
+  const std::size_t before = flows_.size();
+  const auto it = flows_.emplace_hint(flows_.end(), key, std::move(f));
+  MAYFLOWER_ASSERT_MSG(flows_.size() == before + 1,
+                       "view already holds this flow key");
   index_.add(key, it->second.path.links);
   track_key_added(key, it->second.path);
 }

@@ -1,24 +1,26 @@
 #include "net/paths.hpp"
 
 #include <algorithm>
-#include <deque>
 
 namespace mayflower::net {
 namespace {
 
-void extend_paths(const Topology& topo, const std::vector<int>& dist,
-                  NodeId dst, Path& partial, std::vector<Path>& out) {
+// DFS over out_links that only steps u->v when v is one hop closer to dst,
+// so every branch it takes ends at dst: the visit count is the size of the
+// output, not of the source's BFS ball.
+void extend_paths(const Topology& topo, const std::vector<int>& to_dst,
+                  Path& partial, std::vector<Path>& out) {
   const NodeId u = partial.nodes.back();
-  if (u == dst) {
+  if (to_dst[u] == 0) {
     out.push_back(partial);
     return;
   }
   for (const LinkId l : topo.out_links(u)) {
     const NodeId v = topo.link(l).to;
-    if (dist[v] != dist[u] + 1) continue;  // not on a shortest path
+    if (to_dst[v] != to_dst[u] - 1) continue;  // not on a shortest path
     partial.links.push_back(l);
     partial.nodes.push_back(v);
-    extend_paths(topo, dist, dst, partial, out);
+    extend_paths(topo, to_dst, partial, out);
     partial.links.pop_back();
     partial.nodes.pop_back();
   }
@@ -39,28 +41,27 @@ std::vector<Path> shortest_paths(const Topology& topo, NodeId src, NodeId dst) {
     out.push_back(std::move(p));
     return out;
   }
-  // BFS distance labels from src, pruned at dist(dst).
-  std::vector<int> dist(topo.node_count(), -1);
-  dist[src] = 0;
-  std::deque<NodeId> queue{src};
-  int limit = -1;
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    if (limit >= 0 && dist[u] >= limit) break;
-    for (const LinkId l : topo.out_links(u)) {
-      const NodeId v = topo.link(l).to;
-      if (dist[v] >= 0) continue;
-      dist[v] = dist[u] + 1;
-      if (v == dst) limit = dist[v];
-      queue.push_back(v);
+  // Reverse BFS from dst over in_links: to_dst[v] = hops from v to dst. It
+  // stops once src is labelled, when every node closer to dst than src is
+  // labelled too; nodes left at -1 never satisfy the DFS's step test.
+  std::vector<int> to_dst(topo.node_count(), -1);
+  to_dst[dst] = 0;
+  std::vector<NodeId> queue{dst};
+  for (std::size_t head = 0; head < queue.size() && to_dst[src] < 0; ++head) {
+    const NodeId v = queue[head];
+    for (const LinkId l : topo.in_links(v)) {
+      const NodeId u = topo.link(l).from;
+      if (to_dst[u] >= 0) continue;
+      to_dst[u] = to_dst[v] + 1;
+      if (u == src) break;
+      queue.push_back(u);
     }
   }
-  if (dist[dst] < 0) return out;  // unreachable
+  if (to_dst[src] < 0) return out;  // unreachable
 
   Path partial;
   partial.nodes.push_back(src);
-  extend_paths(topo, dist, dst, partial, out);
+  extend_paths(topo, to_dst, partial, out);
   return out;
 }
 

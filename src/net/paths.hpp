@@ -2,9 +2,12 @@
 //
 // Mayflower restricts replica-path selection to the shortest paths between
 // endpoints (§4.2), which in a 3-tier tree have lengths 2, 4 or 6 links.
-// Enumeration is generic over any Topology (BFS distance labels + DFS over
-// tightening edges), so the hand-built Figure-2 topology and property-test
-// topologies work unchanged. Results are memoized per (src, dst).
+// Enumeration is generic over any Topology: one reverse BFS from dst labels
+// every node with its hop count to dst, then a DFS from src over out_links
+// steps only to nodes one hop closer, so it never enters a branch that does
+// not reach dst. Paths come out in DFS order over out_links. The hand-built
+// Figure-2 topology and property-test topologies work unchanged. Results are
+// memoized per (src, dst).
 #pragma once
 
 #include <unordered_map>

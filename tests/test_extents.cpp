@@ -50,6 +50,24 @@ TEST(Extent, ChecksumMatchesMaterializedCrcWithoutMaterializing) {
   EXPECT_NE(huge.checksum(), 0u);  // computed, streaming
 }
 
+TEST(Extent, PatternBytesAndChecksumMatchByteAtOnUnalignedOffsets) {
+  // Pattern bytes are filled a word at a time; every byte must equal the
+  // per-byte definition (byte_at), from any starting offset and across the
+  // checksum's 4 KiB chunk boundary.
+  for (const std::uint64_t offset : {0ull, 1ull, 3ull, 7ull, 8ull, 13ull,
+                                     4095ull, (1ull << 33) + 5}) {
+    for (const std::uint64_t size : {1ull, 7ull, 9ull, 4096ull, 4103ull}) {
+      const Extent e = Extent::pattern(0xfeed, size, offset);
+      std::string want(size, '\0');
+      for (std::uint64_t i = 0; i < size; ++i) {
+        want[i] = static_cast<char>(e.byte_at(i));
+      }
+      EXPECT_EQ(e.materialize(), want) << offset << "+" << size;
+      EXPECT_EQ(e.checksum(), crc32(want)) << offset << "+" << size;
+    }
+  }
+}
+
 TEST(Extent, ContentEqualsAcrossKinds) {
   const Extent p = Extent::pattern(11, 500);
   const Extent inl = Extent::from_bytes(p.materialize());

@@ -126,7 +126,7 @@ TEST(MultiRead, SplitSizingIsConsistentWhenSubflowsShareTwoLinks) {
   // Both subflows funnel through the SAME two links (M->Ed and Ed->D), so
   // subflow 2's candidate computes subflow 1's reduced share across more
   // than one shared link. The bumped list must still carry exactly one
-  // entry for subflow 1 (flows_on_path deduplicates; reduced_share mins
+  // entry for subflow 1 (flows_on_path deduplicates; path_shares mins
   // over all shared links) — the planner asserts that invariant, and the
   // split must tile the request and finish both legs together.
   //

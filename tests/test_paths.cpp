@@ -2,13 +2,93 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <set>
 
+#include "common/rng.hpp"
+#include "figure2_fixture.hpp"
 #include "net/ecmp.hpp"
+#include "net/fat_tree.hpp"
 #include "net/tree.hpp"
 
 namespace mayflower::net {
 namespace {
+
+// Reference enumerator: forward BFS distance labels from src (cut at
+// dist(dst)), then a DFS over out_links that follows every edge tightening
+// that label. It visits every node of src's BFS ball up to dist(dst), most
+// of which never reach dst; shortest_paths must return exactly its output.
+void reference_extend(const Topology& topo, const std::vector<int>& dist,
+                      NodeId dst, Path& partial, std::vector<Path>& out) {
+  const NodeId u = partial.nodes.back();
+  if (u == dst) {
+    out.push_back(partial);
+    return;
+  }
+  for (const LinkId l : topo.out_links(u)) {
+    const NodeId v = topo.link(l).to;
+    if (dist[v] != dist[u] + 1) continue;
+    partial.links.push_back(l);
+    partial.nodes.push_back(v);
+    reference_extend(topo, dist, dst, partial, out);
+    partial.links.pop_back();
+    partial.nodes.pop_back();
+  }
+}
+
+std::vector<Path> reference_shortest_paths(const Topology& topo, NodeId src,
+                                           NodeId dst) {
+  std::vector<Path> out;
+  if (src == dst) {
+    Path p;
+    p.nodes.push_back(src);
+    out.push_back(std::move(p));
+    return out;
+  }
+  std::vector<int> dist(topo.node_count(), -1);
+  dist[src] = 0;
+  std::deque<NodeId> queue{src};
+  int limit = -1;
+  while (!queue.empty()) {
+    const NodeId u = queue.front();
+    queue.pop_front();
+    if (limit >= 0 && dist[u] >= limit) break;
+    for (const LinkId l : topo.out_links(u)) {
+      const NodeId v = topo.link(l).to;
+      if (dist[v] >= 0) continue;
+      dist[v] = dist[u] + 1;
+      if (v == dst) limit = dist[v];
+      queue.push_back(v);
+    }
+  }
+  if (dist[dst] < 0) return out;
+  Path partial;
+  partial.nodes.push_back(src);
+  reference_extend(topo, dist, dst, partial, out);
+  return out;
+}
+
+// Asserts shortest_paths == the reference (same links and nodes, same
+// order) for every ordered pair drawn from `nodes`, src == dst included.
+// Returns the number of paths compared.
+std::size_t expect_matches_reference(const Topology& topo,
+                                     const std::vector<NodeId>& nodes) {
+  std::size_t compared = 0;
+  for (const NodeId src : nodes) {
+    for (const NodeId dst : nodes) {
+      const std::vector<Path> got = shortest_paths(topo, src, dst);
+      const std::vector<Path> want = reference_shortest_paths(topo, src, dst);
+      EXPECT_EQ(got.size(), want.size()) << src << "->" << dst;
+      if (got.size() != want.size()) return compared;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].links, want[i].links) << src << "->" << dst;
+        EXPECT_EQ(got[i].nodes, want[i].nodes) << src << "->" << dst;
+      }
+      compared += got.size();
+    }
+  }
+  return compared;
+}
 
 class TreePaths : public ::testing::Test {
  protected:
@@ -143,6 +223,75 @@ TEST_F(TreePaths, EcmpSpreadsAcrossPaths) {
   for (const int c : counts) {
     EXPECT_NEAR(c, expected, expected * 0.15);
   }
+}
+
+TEST_F(TreePaths, MatchesForwardReferenceOnEveryHostPair) {
+  EXPECT_GT(expect_matches_reference(tree_.topo, tree_.hosts), 0u);
+}
+
+TEST(Paths, MatchesForwardReferenceOnFatTrees) {
+  for (const std::uint32_t k : {4u, 8u}) {
+    FatTreeConfig cfg;
+    cfg.k = k;
+    const FatTree t = build_fat_tree(cfg);
+    // Inter-pod pairs have (k/2)^2 paths; k=8 has 128 hosts.
+    EXPECT_GT(expect_matches_reference(t.topo, t.hosts), t.hosts.size())
+        << "k=" << k;
+  }
+}
+
+TEST(Paths, MatchesForwardReferenceOnFigure2) {
+  const flowserver::testing::Figure2 fig;
+  std::vector<NodeId> all;
+  for (NodeId n = 0; n < fig.topo.node_count(); ++n) all.push_back(n);
+  EXPECT_GT(expect_matches_reference(fig.topo, all), 0u);
+  EXPECT_EQ(shortest_paths(fig.topo, fig.S, fig.D).size(), 2u);
+}
+
+TEST(Paths, MatchesForwardReferenceOnRandomTopologies) {
+  // Sparse random directed graphs: some pairs unreachable, every node paired
+  // with itself too. Topology rejects duplicate directed links, so parallel
+  // routes are bundles of relay nodes a->m_i->b: equal-length paths that
+  // differ only in one hop, the case where DFS order decides output order.
+  std::size_t compared = 0;
+  std::size_t unreachable = 0;
+  std::size_t bundles = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    Topology t;
+    const auto n = static_cast<NodeId>(rng.uniform_int(2, 14));
+    for (NodeId i = 0; i < n; ++i) {
+      t.add_node(NodeKind::kEdgeSwitch, "n" + std::to_string(i));
+    }
+    const std::int64_t edges = rng.uniform_int(0, 3 * n);
+    for (std::int64_t e = 0; e < edges; ++e) {
+      const auto a = static_cast<NodeId>(rng.next_below(n));
+      const auto b = static_cast<NodeId>(rng.next_below(n));
+      if (a == b || t.find_link(a, b) != kInvalidLink) continue;
+      if (!rng.bernoulli(0.25)) {
+        t.add_link(a, b, 1.0);
+        continue;
+      }
+      const std::int64_t width = rng.uniform_int(2, 3);
+      for (std::int64_t w = 0; w < width; ++w) {
+        const NodeId m = t.add_node(NodeKind::kAggSwitch, "m");
+        t.add_link(a, m, 1.0);
+        t.add_link(m, b, 1.0);
+      }
+      ++bundles;
+    }
+    std::vector<NodeId> all;
+    for (NodeId i = 0; i < t.node_count(); ++i) all.push_back(i);
+    compared += expect_matches_reference(t, all);
+    for (const NodeId a : all) {
+      for (const NodeId b : all) {
+        if (shortest_paths(t, a, b).empty()) ++unreachable;
+      }
+    }
+  }
+  EXPECT_GT(compared, 0u);
+  EXPECT_GT(unreachable, 0u);
+  EXPECT_GT(bundles, 0u);
 }
 
 }  // namespace

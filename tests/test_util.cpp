@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
@@ -29,6 +31,38 @@ TEST(Crc32, DetectsSingleBitFlip) {
   const std::uint32_t before = crc32(data);
   data[3] = static_cast<char>(data[3] ^ 1);
   EXPECT_NE(before, crc32(data));
+}
+
+// Bytewise reference CRC-32: one table lookup per byte.
+std::uint32_t bytewise_crc32(const unsigned char* p, std::size_t len,
+                             std::uint32_t seed) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1U) ? 0xedb88320U ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  std::uint32_t c = seed ^ 0xffffffffU;
+  for (std::size_t i = 0; i < len; ++i) c = table[(c ^ p[i]) & 0xffU] ^ (c >> 8);
+  return c ^ 0xffffffffU;
+}
+
+TEST(Crc32, MatchesBytewiseTableOnUnalignedSpans) {
+  Rng rng(29);
+  std::vector<unsigned char> buf(4200);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.next_u64());
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t len = 0; len <= 67; ++len) {
+      const std::uint32_t seed = static_cast<std::uint32_t>(rng.next_u64());
+      EXPECT_EQ(crc32(buf.data() + off, len, seed),
+                bytewise_crc32(buf.data() + off, len, seed))
+          << "off=" << off << " len=" << len;
+    }
+    const std::size_t len = buf.size() - off - rng.next_below(9);
+    EXPECT_EQ(crc32(buf.data() + off, len), bytewise_crc32(buf.data() + off,
+                                                           len, 0))
+        << "off=" << off << " len=" << len;
+  }
 }
 
 TEST(Uuid, GenerateRoundTripsThroughString) {
