@@ -1,19 +1,17 @@
 // Macro-scale benchmark: datacenter-sized selection on k-ary fat-trees.
 //
 // Sweeps fat-tree arity x background-flow population and, at each point,
-// drives a churny selection stream through a Flowserver (state plane
-// sharded by edge switch):
+// drives a churny selection stream through a Flowserver:
 //
-//  * every request is preceded by one background SETBW, so the decision
-//    snapshot is stale at every request; the refresh reloads exactly the
-//    one shard the churn touched;
+//  * every request is preceded by one background SETBW, which lands in the
+//    flow store the decision reads (no refresh, no copy);
 //  * requests read same-rack replicas, keeping the selection itself at
-//    O(flows near one edge) so the sweep isolates the refresh cost;
+//    O(flows near one edge);
 //  * decision records go to stdout, where CI's rerun-and-diff checks
 //    determinism end to end.
 //
-// Reported per sweep point (stderr): selections/s, mean view-refresh
-// latency, and the time for one global max-min solve (net::solve_max_min)
+// Reported per sweep point (stderr): selections/s and the time for one
+// global max-min solve (net::solve_max_min)
 // over the whole background population — the ground-truth allocator's cost
 // at this scale, for context against the incremental path the control plane
 // actually uses. Default sweep: k=8 x {1k, 10k} and k=16 x {10k}; --full
@@ -58,7 +56,7 @@ Workload make_workload(const net::ThreeTier& tree, std::size_t flows) {
   for (std::size_t i = 0; i < flows; ++i) {
     // Intra-rack background pairs: 2-link paths through one edge switch.
     // Keeps workload generation linear in `flows` (no large multi-path
-    // enumerations) while still loading every edge shard of the fabric.
+    // enumerations) while still loading every edge switch of the fabric.
     const std::size_t rack = rng.next_below(racks);
     const net::NodeId src =
         tree.hosts[rack * hosts_per_rack + rng.next_below(hosts_per_rack)];
@@ -96,7 +94,6 @@ Workload make_workload(const net::ThreeTier& tree, std::size_t flows) {
 
 struct SweepRun {
   double secs = 0.0;
-  double refresh_sec_mean = 0.0;  // mean stale-view refresh latency
   std::vector<std::string> decisions;
 };
 
@@ -108,24 +105,17 @@ SweepRun run_point(const net::ThreeTier& tree, const Workload& w) {
     server.table().add(w.cookies[i], w.paths[i], 256e6, w.rates[i],
                        sim::SimTime{});
   }
-  server.view();  // first (full) build outside the timed loop
+  server.view();  // first link overlay outside the timed loop
 
   SweepRun run;
   run.decisions.reserve(kRequests);
   Rng churn_rng(11);
-  double refresh_sec = 0.0;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < kRequests; ++i) {
     const sdn::Cookie victim =
         w.cookies[churn_rng.next_below(w.cookies.size())];
     server.table().setbw(victim, churn_rng.uniform(1e6, 125e6),
                           sim::SimTime{});
-    // Timing the refresh alone (the view is stale from the SETBW above)
-    // separates "cost of absorbing churn" from the selection that follows.
-    const auto r0 = std::chrono::steady_clock::now();
-    server.view();
-    const auto r1 = std::chrono::steady_clock::now();
-    refresh_sec += std::chrono::duration<double>(r1 - r0).count();
     server.enqueue_read(w.clients[i], w.replica_sets[i], 256e6,
                         [&run](std::vector<ReadAssignment> plan) {
                           for (const ReadAssignment& a : plan) {
@@ -139,7 +129,6 @@ SweepRun run_point(const net::ThreeTier& tree, const Workload& w) {
   }
   const auto t1 = std::chrono::steady_clock::now();
   run.secs = std::chrono::duration<double>(t1 - t0).count();
-  run.refresh_sec_mean = refresh_sec / static_cast<double>(kRequests);
   return run;
 }
 
@@ -191,10 +180,10 @@ int sweep_main(bool full) {
 
     std::fprintf(stderr,
                  "k=%-2u flows=%-6zu hosts=%zu\n"
-                 "  %9.0f selections/s  refresh %8.1f us\n"
+                 "  %9.0f selections/s\n"
                  "  max-min solve over %zu flows: %.1f ms\n",
                  pt.k, pt.flows, tree.hosts.size(), kRequests / run.secs,
-                 run.refresh_sec_mean * 1e6, pt.flows, solve_sec * 1e3);
+                 pt.flows, solve_sec * 1e3);
   }
   return 0;
 }

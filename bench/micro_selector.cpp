@@ -6,10 +6,10 @@
 //  * default: google-benchmark micro timings of select() and evaluate_path()
 //    against a prebuilt decision view;
 //  * --flows: background-flow sweep on a k=8 fat-tree driving a churny
-//    request stream through the edge-sharded state plane — decision records
-//    go to stdout for CI's determinism diff, selections/s and shard reloads
-//    to stderr;
-//  * --threads: drives one large decision batch through the snapshot
+//    request stream (one background SETBW before each request) through the
+//    Flowserver's flow store — decision records go to stdout for CI's
+//    determinism diff, selections/s to stderr;
+//  * --threads: drives one large decision batch through the decision
 //    pipeline at decision_threads=1 and =8 over identical state. Decisions
 //    must be byte-identical (always enforced — that is the pipeline's
 //    design invariant) and the 8-worker drain must be >= 1.8x faster when
@@ -18,17 +18,12 @@
 //    two-run determinism diff; timings and verdicts go to stderr;
 //  * --batch: drives a real Flowserver through its admission queue and
 //    compares batch-of-one against batched drains over an identical request
-//    stream. A large background population (confined to pod 2, away from
-//    every request path) makes the view rebuild the dominant per-decision
-//    cost; every admission is followed by a state-neutral invalidate (the
-//    "telemetry may have landed" assumption), which batch-of-one pays as a
-//    rebuild per decision while a batch of B coalesces into one rebuild per
-//    drain. Admitted flows complete at a fixed window in BOTH modes. The
-//    batched records differ from batch-of-one's by design: requests of one
-//    batch are all planned against the batch-start view. Decisions go to
-//    stdout (two seeded runs must be byte-identical — CI diffs them);
-//    timings and the >= 2x acceptance bar go to stderr, with a non-zero exit
-//    when the bar fails.
+//    stream, with a background population confined to pod 2, away from
+//    every request path. Admitted flows complete at a fixed window in BOTH
+//    modes. The batched records differ from batch-of-one's by design:
+//    requests of one batch are all planned against the batch-start view.
+//    Decisions go to stdout (two seeded runs must be byte-identical — CI
+//    diffs them); selections/s per mode go to stderr.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -76,29 +71,6 @@ void BM_SelectReplicaPath(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_SelectReplicaPath)->RangeMultiplier(4)->Range(1, 1024)->Complexity();
-
-void BM_BuildDecisionView(benchmark::State& state) {
-  // The cost batching amortizes: snapshotting an N-flow table into a view.
-  const net::ThreeTier tree = net::build_three_tier(net::ThreeTierConfig{});
-  Rng rng(44);
-  FlowStateTable table;
-  net::PathCache cache(tree.topo);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  for (std::size_t i = 0; i < n; ++i) {
-    const net::NodeId src = tree.hosts[rng.next_below(tree.hosts.size())];
-    net::NodeId dst = src;
-    while (dst == src) dst = tree.hosts[rng.next_below(tree.hosts.size())];
-    const auto& paths = cache.get(src, dst);
-    table.add(static_cast<sdn::Cookie>(i + 1),
-              paths[rng.next_below(paths.size())], 256e6,
-              rng.uniform(1e6, 125e6), sim::SimTime{});
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(make_decision_view(tree.topo, table));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_BuildDecisionView)->RangeMultiplier(4)->Range(16, 4096)->Complexity();
 
 void BM_EvaluateSinglePath(benchmark::State& state) {
   const net::ThreeTier tree = net::build_three_tier(net::ThreeTierConfig{});
@@ -150,9 +122,7 @@ BatchRun run_batch_mode(std::size_t batch_size) {
   Flowserver server(fabric, cfg);
 
   // Preload a steady-state population straight into the table, confined to
-  // the LAST pod so its (intra-pod) flows dominate the snapshot cost without
-  // ever crossing a request path: the per-decision cost under measurement
-  // is the view REBUILD, not selection over a crowded fabric.
+  // the LAST pod so its (intra-pod) flows never cross a request path.
   Rng rng(42);
   net::PathCache preload_cache(tree.topo);
   const net::ThreeTierConfig tree_cfg;
@@ -202,11 +172,6 @@ BatchRun run_batch_mode(std::size_t batch_size) {
                             window_cookies.push_back(a.cookie);
                           }
                         });
-    // Telemetry may land between any two admissions, so each boundary
-    // treats the snapshot as stale. State is untouched — decisions don't
-    // move — but batch-of-one now rebuilds per decision while a batch of B
-    // coalesces the invalidations into one rebuild per drain.
-    server.invalidate_view();
     if ((i + 1) % kChurnWindow == 0) {
       // The window's admitted flows complete, in both modes at the same
       // request index.
@@ -231,23 +196,13 @@ int batch_main() {
   // Decision records to stdout: CI runs this twice and diffs.
   for (const std::string& d : batched.decisions) std::printf("%s\n", d.c_str());
 
-  const double speedup =
-      batched.selections_per_sec / single.selections_per_sec;
   std::fprintf(stderr,
-               "batch=1   %.0f selections/s  (%llu view rebuilds)\n"
-               "batch=%zu  %.0f selections/s  (%llu view rebuilds)\n"
-               "speedup   %.2fx (bar: >= 2x)\n",
+               "batch=1   %.0f selections/s  (%llu view refreshes)\n"
+               "batch=%zu  %.0f selections/s  (%llu view refreshes)\n",
                single.selections_per_sec,
                static_cast<unsigned long long>(single.view_rebuilds), kBatch,
                batched.selections_per_sec,
-               static_cast<unsigned long long>(batched.view_rebuilds),
-               speedup);
-
-  if (speedup < 2.0) {
-    std::fprintf(stderr, "FAIL: batched admission speedup below 2x\n");
-    return 1;
-  }
-  std::fprintf(stderr, "PASS\n");
+               static_cast<unsigned long long>(batched.view_rebuilds));
   return 0;
 }
 
@@ -263,7 +218,23 @@ struct ThreadsRun {
 // serial), and the mode runs the batch twice.
 constexpr std::size_t kThreadRequests = 256;
 
-// One big admission batch decided by the snapshot pipeline with `threads`
+// The --threads preload: kPreloadFlows flows between random host pairs,
+// spanning ALL pods (same draw for every server it fills).
+void preload_all_pods(Flowserver& server, const net::ThreeTier& tree) {
+  Rng rng(42);
+  net::PathCache preload_cache(tree.topo);
+  for (std::size_t i = 0; i < kPreloadFlows; ++i) {
+    const net::NodeId src = tree.hosts[rng.next_below(tree.hosts.size())];
+    net::NodeId dst = src;
+    while (dst == src) dst = tree.hosts[rng.next_below(tree.hosts.size())];
+    const auto& paths = preload_cache.get(src, dst);
+    server.table().add(static_cast<sdn::Cookie>(1000000 + i),
+                       paths[rng.next_below(paths.size())], 256e6,
+                       rng.uniform(1e6, 125e6), sim::SimTime{});
+  }
+}
+
+// One big admission batch decided by the decision pipeline with `threads`
 // workers. The preload population spans ALL pods, so nearly every candidate
 // path is crowded and evaluation (flows_on_path + path_shares per
 // candidate) dominates the drain — the part the worker pool parallelizes.
@@ -276,18 +247,7 @@ ThreadsRun run_threads_mode(std::size_t threads) {
   cfg.decision_threads = threads;
   cfg.batch_size = kThreadRequests * 4;  // never size-triggered
   Flowserver server(fabric, cfg);
-
-  Rng rng(42);
-  net::PathCache preload_cache(tree.topo);
-  for (std::size_t i = 0; i < kPreloadFlows; ++i) {
-    const net::NodeId src = tree.hosts[rng.next_below(tree.hosts.size())];
-    net::NodeId dst = src;
-    while (dst == src) dst = tree.hosts[rng.next_below(tree.hosts.size())];
-    const auto& paths = preload_cache.get(src, dst);
-    server.table().add(static_cast<sdn::Cookie>(1000000 + i),
-                       paths[rng.next_below(paths.size())], 256e6,
-                       rng.uniform(1e6, 125e6), sim::SimTime{});
-  }
+  preload_all_pods(server, tree);
 
   Rng req_rng(7);
   std::vector<net::NodeId> clients(kThreadRequests);
@@ -310,6 +270,22 @@ ThreadsRun run_threads_mode(std::size_t threads) {
   server.post_read(clients[0], replica_sets[0], 256e6,
                    [](std::vector<ReadAssignment>) {});
   server.drain();
+
+  // CPU warm-up: the same full batch drained on a second server built from
+  // the same preload (its own fabric, decisions discarded), so every worker
+  // has run flat out just before the timed drain. A host whose idle cores
+  // take a while to come back would otherwise charge that ramp to the
+  // threaded drain. The timed server's state is untouched.
+  {
+    sim::EventQueue warm_events;
+    sdn::SdnFabric warm_fabric(warm_events, tree.topo);
+    Flowserver warm(warm_fabric, cfg);
+    preload_all_pods(warm, tree);
+    for (std::size_t i = 0; i < kThreadRequests; ++i) {
+      warm.post_read(clients[i], replica_sets[i], 256e6);
+    }
+    warm.drain();
+  }
 
   ThreadsRun run;
   run.decisions.reserve(kThreadRequests);
@@ -377,16 +353,13 @@ int threads_main() {
 //
 // Background-flow sweep on a k=8 fat-tree: for each population size, drive
 // a churny request stream through a Flowserver. Each request is preceded by
-// one background SETBW, which stales exactly one edge shard, so the
-// per-request refresh reloads O(flows per edge) instead of re-copying the
-// whole table. Decision records go to stdout for CI's determinism diff;
-// timings go to stderr. macro_scale sweeps real k=16/k=32 fabrics — this
-// mode is the quick shape check.
+// one background SETBW, which lands in the flow store the decision reads —
+// nothing is refreshed or copied. Decision records go to stdout for CI's
+// determinism diff; timings go to stderr. macro_scale sweeps real k=16/k=32
+// fabrics — this mode is the quick shape check.
 
 struct FlowsRun {
   double secs = 0.0;
-  std::uint64_t shard_reloads = 0;
-  std::uint64_t full_rebuilds = 0;
   std::vector<std::string> decisions;
 };
 
@@ -419,8 +392,7 @@ FlowsRun run_flows_mode(const net::ThreeTier& tree, std::size_t flows) {
     cookies.push_back(cookie);
   }
 
-  // Same-pod replica sets keep selection itself cheap; the measured cost is
-  // the refresh forced by the churn below.
+  // Same-pod replica sets keep selection itself cheap.
   Rng req_rng(7);
   std::vector<net::NodeId> clients(kFlowsRequests);
   std::vector<std::vector<net::NodeId>> replica_sets(kFlowsRequests);
@@ -444,8 +416,7 @@ FlowsRun run_flows_mode(const net::ThreeTier& tree, std::size_t flows) {
   Rng churn_rng(11);
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < kFlowsRequests; ++i) {
-    // One background SETBW per request: stales the touched flow's shard
-    // before the decision below.
+    // One background SETBW per request, before the decision below.
     const sdn::Cookie victim = cookies[churn_rng.next_below(cookies.size())];
     server.table().setbw(victim, churn_rng.uniform(1e6, 125e6),
                           sim::SimTime{});
@@ -462,8 +433,6 @@ FlowsRun run_flows_mode(const net::ThreeTier& tree, std::size_t flows) {
   }
   const auto t1 = std::chrono::steady_clock::now();
   run.secs = std::chrono::duration<double>(t1 - t0).count();
-  run.shard_reloads = server.shard_reloads();
-  run.full_rebuilds = server.full_view_rebuilds();
   return run;
 }
 
@@ -475,12 +444,8 @@ int flows_main() {
     const FlowsRun run = run_flows_mode(tree, flows);
     // Decision records to stdout: CI runs this twice and diffs.
     for (const std::string& d : run.decisions) std::printf("%s\n", d.c_str());
-    std::fprintf(stderr,
-                 "flows=%-5zu %8.0f selections/s (%llu shard reloads, %llu "
-                 "full rebuilds)\n",
-                 flows, kFlowsRequests / run.secs,
-                 static_cast<unsigned long long>(run.shard_reloads),
-                 static_cast<unsigned long long>(run.full_rebuilds));
+    std::fprintf(stderr, "flows=%-5zu %8.0f selections/s\n", flows,
+                 kFlowsRequests / run.secs);
   }
   return 0;
 }

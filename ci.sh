@@ -54,7 +54,7 @@ echo "=== fault bench determinism (same seeds => identical table) ==="
 diff /tmp/mayflower_fault_run1.txt /tmp/mayflower_fault_run2.txt
 echo "identical"
 
-echo "=== batched admission bench (>= 2x bar, deterministic) ==="
+echo "=== batched admission bench (deterministic) ==="
 ./build/bench/micro_selector --batch >/tmp/mayflower_batch_run1.txt
 ./build/bench/micro_selector --batch >/tmp/mayflower_batch_run2.txt
 diff /tmp/mayflower_batch_run1.txt /tmp/mayflower_batch_run2.txt
@@ -154,11 +154,11 @@ echo "=== adaptive telemetry bench (>= 5x samples cut within 2x belief error) ==
 diff /tmp/mayflower_telemetry_run1.txt /tmp/mayflower_telemetry_run2.txt
 echo "deterministic"
 
-echo "=== shard metrics export on a fat-tree (schema + coherence) ==="
+echo "=== metrics schema on a fat-tree ==="
 ./build/tools/mayflower_sim --jobs=60 --warmup=10 --files=30 --seeds=7 \
     --topology=fat_tree --fat-k=8 \
-    --metrics-out=/tmp/mayflower_metrics_shard.json >/dev/null
-python3 tools/check_metrics.py /tmp/mayflower_metrics_shard.json
+    --metrics-out=/tmp/mayflower_metrics_fattree.json >/dev/null
+python3 tools/check_metrics.py /tmp/mayflower_metrics_fattree.json
 
 echo "=== metadata flags alone change nothing (byte identity, meta-ops=0) ==="
 # With no metadata ops requested the meta plane is never built, so the

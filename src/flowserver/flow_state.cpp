@@ -6,53 +6,18 @@
 
 namespace mayflower::flowserver {
 
-FlowStateTable::FlowStateTable() {
-  shards_.push_back(std::make_unique<Shard>());
-}
-
-void FlowStateTable::set_shard_map(net::ShardMap map) {
-  MAYFLOWER_ASSERT_MSG(size() == 0,
-                       "install the shard map before tracking flows");
-  shard_map_ = std::move(map);
-  shards_.clear();
-  for (std::uint32_t s = 0; s < shard_map_.shard_count(); ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  common::MutexLock lock(route_mu_);
-  route_.clear();
-}
-
-FlowStateTable::Shard* FlowStateTable::shard_for(sdn::Cookie cookie) const {
-  common::MutexLock lock(route_mu_);
-  const auto it = route_.find(cookie);
-  return it == route_.end() ? nullptr : shards_[it->second].get();
-}
-
 void FlowStateTable::add(sdn::Cookie cookie, net::Path path,
                          double size_bytes, double est_bw_bps,
                          sim::SimTime now) {
   MAYFLOWER_ASSERT(size_bytes > 0.0 && est_bw_bps > 0.0);
-  const std::uint32_t s = shard_map_.shard_of_path(path);
-  {
-    common::MutexLock route_lock(route_mu_);
-    const bool fresh = route_.emplace(cookie, s).second;
-    MAYFLOWER_ASSERT_MSG(fresh, "cookie already tracked");
-  }
-  Shard& sh = *shards_[s];
-  common::MutexLock lock(sh.mu);
-  ++sh.version;
-  TrackedFlow f;
-  f.cookie = cookie;
-  f.path = std::move(path);
-  f.size_bytes = size_bytes;
-  f.remaining_bytes = size_bytes;
-  f.bw_bps = est_bw_bps;
-  f.last_poll_time = now;
+  store_.add_flow(cookie, std::move(path), size_bytes, est_bw_bps);
+  TrackedFlow t;
+  t.last_poll_time = now;
   if (freeze_enabled_) {
-    f.frozen = true;
-    f.freeze_until = now + sim::SimTime::from_seconds(size_bytes / est_bw_bps);
+    t.frozen = true;
+    t.freeze_until = now + sim::SimTime::from_seconds(size_bytes / est_bw_bps);
   }
-  sh.flows.emplace(cookie, std::move(f));
+  tracked_.emplace(cookie, t);
   if (trace_ != nullptr) {
     trace_->flow_planned(cookie, now.seconds(), size_bytes, est_bw_bps);
   }
@@ -71,104 +36,45 @@ void FlowStateTable::set_obs(obs::Observability* hub) {
 
 std::size_t FlowStateTable::frozen_count(sim::SimTime now) const {
   std::size_t n = 0;
-  for (const auto& sh : shards_) {
-    common::MutexLock lock(sh->mu);
-    for (const auto& [cookie, f] : sh->flows) {
-      if (f.frozen && now <= f.freeze_until) ++n;
-    }
-  }
-  return n;
-}
-
-std::uint64_t FlowStateTable::freeze_suppressed_total() const {
-  std::uint64_t n = 0;
-  for (const auto& sh : shards_) {
-    common::MutexLock lock(sh->mu);
-    n += sh->freeze_suppressed;
+  for (const auto& [cookie, t] : tracked_) {
+    if (t.frozen && now <= t.freeze_until) ++n;
   }
   return n;
 }
 
 void FlowStateTable::drop(sdn::Cookie cookie) {
-  Shard* sh = shard_for(cookie);
-  if (sh == nullptr) return;
-  {
-    common::MutexLock lock(sh->mu);
-    const auto it = sh->flows.find(cookie);
-    if (it == sh->flows.end()) return;
-    ++sh->version;
-    sh->flows.erase(it);
-  }
-  common::MutexLock route_lock(route_mu_);
-  route_.erase(cookie);
+  if (tracked_.erase(cookie) == 0) return;
+  store_.drop_flow(cookie);
 }
 
-const TrackedFlow* FlowStateTable::find(sdn::Cookie cookie) const {
-  const Shard* sh = shard_for(cookie);
-  if (sh == nullptr) return nullptr;
-  common::MutexLock lock(sh->mu);
-  const auto it = sh->flows.find(cookie);
-  return it == sh->flows.end() ? nullptr : &it->second;
-}
-
-std::size_t FlowStateTable::size() const {
-  std::size_t n = 0;
-  for (const auto& sh : shards_) {
-    common::MutexLock lock(sh->mu);
-    n += sh->flows.size();
-  }
-  return n;
-}
-
-std::uint64_t FlowStateTable::version() const {
-  std::uint64_t v = 0;
-  for (const auto& sh : shards_) {
-    common::MutexLock lock(sh->mu);
-    v += sh->version;
-  }
-  return v;
-}
-
-std::uint64_t FlowStateTable::shard_version(std::uint32_t s) const {
-  MAYFLOWER_ASSERT(s < shards_.size());
-  common::MutexLock lock(shards_[s]->mu);
-  return shards_[s]->version;
+const TrackedFlow* FlowStateTable::tracked(sdn::Cookie cookie) const {
+  const auto it = tracked_.find(cookie);
+  return it == tracked_.end() ? nullptr : &it->second;
 }
 
 void FlowStateTable::setbw(sdn::Cookie cookie, double bw_bps,
-                            sim::SimTime now) {
-  Shard* sh = shard_for(cookie);
-  MAYFLOWER_ASSERT_MSG(sh != nullptr, "setbw on unknown flow");
-  common::MutexLock lock(sh->mu);
-  const auto it = sh->flows.find(cookie);
-  MAYFLOWER_ASSERT_MSG(it != sh->flows.end(), "setbw on unknown flow");
-  MAYFLOWER_ASSERT(bw_bps > 0.0);
-  ++sh->version;
-  TrackedFlow& f = it->second;
-  f.bw_bps = bw_bps;
+                           sim::SimTime now) {
+  const auto it = tracked_.find(cookie);
+  MAYFLOWER_ASSERT_MSG(it != tracked_.end(), "setbw on unknown flow");
+  store_.set_flow_bps(cookie, bw_bps);
   if (freeze_enabled_) {
-    f.frozen = true;
-    f.freeze_until =
-        now + sim::SimTime::from_seconds(f.remaining_bytes / bw_bps);
+    it->second.frozen = true;
+    it->second.freeze_until =
+        now + sim::SimTime::from_seconds(store_.find(cookie)->remaining_bytes /
+                                         bw_bps);
   }
   if (trace_ != nullptr) trace_->flow_bw_set(cookie, bw_bps);
 }
 
 void FlowStateTable::resize(sdn::Cookie cookie, double new_size_bytes,
                             sim::SimTime now) {
-  Shard* sh = shard_for(cookie);
-  MAYFLOWER_ASSERT_MSG(sh != nullptr, "resize on unknown flow");
-  common::MutexLock lock(sh->mu);
-  const auto it = sh->flows.find(cookie);
-  MAYFLOWER_ASSERT_MSG(it != sh->flows.end(), "resize on unknown flow");
-  MAYFLOWER_ASSERT(new_size_bytes > 0.0);
-  ++sh->version;
-  TrackedFlow& f = it->second;
-  f.size_bytes = new_size_bytes;
-  f.remaining_bytes = new_size_bytes;
-  if (freeze_enabled_ && f.frozen) {
-    f.freeze_until =
-        now + sim::SimTime::from_seconds(new_size_bytes / f.bw_bps);
+  const auto it = tracked_.find(cookie);
+  MAYFLOWER_ASSERT_MSG(it != tracked_.end(), "resize on unknown flow");
+  store_.resize_flow(cookie, new_size_bytes);
+  if (freeze_enabled_ && it->second.frozen) {
+    it->second.freeze_until =
+        now + sim::SimTime::from_seconds(new_size_bytes /
+                                         store_.find(cookie)->bw_bps);
   }
   if (trace_ != nullptr) trace_->flow_resized(cookie, new_size_bytes);
 }
@@ -176,79 +82,37 @@ void FlowStateTable::resize(sdn::Cookie cookie, double new_size_bytes,
 void FlowStateTable::update_from_stats(sdn::Cookie cookie,
                                        double cumulative_bytes,
                                        sim::SimTime now) {
-  Shard* sh = shard_for(cookie);
-  if (sh == nullptr) return;  // raced with a drop; counters can arrive late
-  common::MutexLock lock(sh->mu);
-  const auto it = sh->flows.find(cookie);
-  if (it == sh->flows.end()) return;
-  ++sh->version;
-  TrackedFlow& f = it->second;
+  const auto it = tracked_.find(cookie);
+  if (it == tracked_.end()) return;  // raced with a drop; counters arrive late
+  TrackedFlow& t = it->second;
+  const net::NetworkView::Flow& f = *store_.find(cookie);
 
   // Remaining size always tracks the counter (§4: "remaining sizes of the
   // existing flows are measured through flow stats"), clamped at zero when
   // a sample overshoots the tracked size (multi-read resize can shrink the
   // size below what the counter already carried).
-  f.remaining_bytes = std::max(f.size_bytes - cumulative_bytes, 0.0);
+  store_.set_flow_remaining(cookie,
+                            std::max(f.size_bytes - cumulative_bytes, 0.0));
 
-  const double dt = (now - f.last_poll_time).seconds();
-  const double delta = cumulative_bytes - f.last_poll_bytes;
-  f.last_poll_bytes = cumulative_bytes;
-  f.last_poll_time = now;
+  const double dt = (now - t.last_poll_time).seconds();
+  const double delta = cumulative_bytes - t.last_poll_bytes;
+  t.last_poll_bytes = cumulative_bytes;
+  t.last_poll_time = now;
   if (dt <= 0.0) return;
 
-  const bool accept = !f.frozen || now > f.freeze_until;
+  const bool accept = !t.frozen || now > t.freeze_until;
   if (accept) {
     const double measured = delta / dt;
     if (measured > 0.0) {
-      f.bw_bps = measured;
+      store_.set_flow_bps(cookie, measured);
     }
-    f.frozen = false;
+    t.frozen = false;
   } else {
     // UPDATEBW suppressed: the frozen estimate outranks the measurement.
-    ++sh->freeze_suppressed;
+    ++freeze_suppressed_total_;
     freeze_suppressed_.inc();
     if (trace_ != nullptr) trace_->freeze_hit(cookie);
   }
-}
-
-namespace {
-
-net::NetworkView::Flow view_flow(const TrackedFlow& f) {
-  net::NetworkView::Flow v;
-  v.key = f.cookie;
-  v.path = f.path;
-  v.size_bytes = f.size_bytes;
-  v.remaining_bytes = f.remaining_bytes;
-  v.bw_bps = f.bw_bps;
-  return v;
-}
-
-}  // namespace
-
-void FlowStateTable::snapshot_into(net::NetworkView& view) const {
-  // Copy shard by shard (one lock at a time), then load in global cookie
-  // order so every per-link index insert is an append rather than a
-  // mid-vector one. Sorting (cookie, slot) pairs moves no Flow.
-  std::vector<net::NetworkView::Flow> flows;
-  for (const auto& sh : shards_) {
-    common::MutexLock lock(sh->mu);
-    for (const auto& [cookie, f] : sh->flows) flows.push_back(view_flow(f));
-  }
-  std::vector<std::pair<sdn::Cookie, std::size_t>> order;
-  order.reserve(flows.size());
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    order.emplace_back(flows[i].key, i);
-  }
-  std::sort(order.begin(), order.end());
-  for (const auto& [cookie, i] : order) view.load_flow(std::move(flows[i]));
-}
-
-void FlowStateTable::snapshot_shard_into(net::NetworkView& view,
-                                         std::uint32_t s) const {
-  MAYFLOWER_ASSERT(s < shards_.size());
-  const Shard& sh = *shards_[s];
-  common::MutexLock lock(sh.mu);
-  for (const auto& [cookie, f] : sh.flows) view.load_flow(view_flow(f));
 }
 
 }  // namespace mayflower::flowserver

@@ -7,41 +7,33 @@
 //  * UPDATEBW — a stats-poll measurement overwrites the estimate only if the
 //    flow is not frozen or its freeze has expired.
 //
-// The table is PARTITIONED BY EDGE SWITCH (net::ShardMap): every flow lives
-// in the shard of its source host's edge switch — the same key the fabric's
-// per-edge poll index uses — under that shard's own mutex, flow map and
-// version counter. A poll of edge E or a drop of an E-sourced flow moves
-// only shard E's version, so a snapshot consumer reloads one shard instead
-// of the whole table. A default-constructed table has one shard.
+// One flow store: each believed flow's path, size, remaining bytes and share
+// live exactly once, in the net::NetworkView the table owns — the same
+// object every decision reads (view()). The table applies every operation
+// above to it and keeps beside it only what a decision never reads: the
+// freeze horizon, the poll bookkeeping UPDATEBW measures from, and the obs
+// hooks. Every mutation here is final — planning that must be undone (a
+// rejected multi-read leg, §4.3) happens in a view tentative scope, never
+// through the table. The table itself is intentionally non-copyable.
 //
-// The table answers no "who crosses this link?" queries: decisions read the
-// NetworkView snapshot built from it, which keeps the per-link index. Every
-// mutation here is final — planning that must be undone (a rejected
-// multi-read leg, §4.3) happens on a view, never on the table. The table
-// itself is intentionally non-copyable.
+// Concurrency: the table is written only by the control thread (commits,
+// polls, drops). Decision workers read the view between those writes, or
+// private copies of it, and never the table.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <vector>
 
-#include "common/sync.hpp"
 #include "net/network_view.hpp"
 #include "net/paths.hpp"
-#include "net/shard_map.hpp"
 #include "obs/observability.hpp"
 #include "sdn/switch.hpp"
 #include "sim/time.hpp"
 
 namespace mayflower::flowserver {
 
+// What the table tracks for a believed flow beside the store's belief.
 struct TrackedFlow {
-  sdn::Cookie cookie = 0;
-  net::Path path;
-  double size_bytes = 0.0;
-  double remaining_bytes = 0.0;
-  double bw_bps = 0.0;  // current share: estimate or last accepted measurement
   bool frozen = false;
   sim::SimTime freeze_until;
 
@@ -52,17 +44,9 @@ struct TrackedFlow {
 
 class FlowStateTable {
  public:
-  FlowStateTable();
+  FlowStateTable() = default;
   FlowStateTable(const FlowStateTable&) = delete;
   FlowStateTable& operator=(const FlowStateTable&) = delete;
-
-  // Installs the edge-switch partition. Must run at wiring time, before any
-  // flow is tracked.
-  void set_shard_map(net::ShardMap map);
-  std::uint32_t shard_count() const {
-    return static_cast<std::uint32_t>(shards_.size());
-  }
-  const net::ShardMap& shard_map() const { return shard_map_; }
 
   // Registers a newly scheduled flow with its estimated share; the new flow
   // starts frozen (its estimate must survive until the next poll cycle).
@@ -98,62 +82,32 @@ class FlowStateTable {
   std::size_t frozen_count(sim::SimTime now) const;
 
   // Cumulative poll updates the freeze state suppressed (UPDATEBW rejected).
-  std::uint64_t freeze_suppressed_total() const;
+  std::uint64_t freeze_suppressed_total() const {
+    return freeze_suppressed_total_;
+  }
 
-  const TrackedFlow* find(sdn::Cookie cookie) const;
+  // The believed flow (path, size, remaining bytes, share), or nullptr.
+  const net::NetworkView::Flow* find(sdn::Cookie cookie) const {
+    return store_.find(cookie);
+  }
+  // The freeze and poll state of a tracked flow, or nullptr.
+  const TrackedFlow* tracked(sdn::Cookie cookie) const;
   bool contains(sdn::Cookie cookie) const { return find(cookie) != nullptr; }
-  std::size_t size() const;
+  std::size_t size() const { return store_.flow_count(); }
 
-  // Monotonic mutation counter: the sum of every shard's version, bumped by
-  // every state-changing operation (add/drop/setbw/resize/
-  // update_from_stats). A NetworkView built from this table is
-  // stale once version() moves past the value recorded at build time —
-  // unless the mutations were the decision batch's own write-through
-  // commits, which the Flowserver accounts for.
-  std::uint64_t version() const;
-
-  // Per-shard mutation counter: moves only when a flow IN that shard is
-  // mutated, so a snapshot consumer reloads exactly the shards that changed.
-  std::uint64_t shard_version(std::uint32_t s) const;
-
-  // Copies every tracked flow into `view`, in cookie order — the belief
-  // section of a decision snapshot.
-  void snapshot_into(net::NetworkView& view) const;
-
-  // Copies only shard `s`'s flows into `view` (per-shard reload; pair with
-  // view.unload_shard(s)).
-  void snapshot_shard_into(net::NetworkView& view, std::uint32_t s) const;
+  // The flow store as decisions read it. Its link sections are empty until
+  // the owner overlays them (Flowserver::view, make_decision_view).
+  const net::NetworkView& view() const { return store_; }
+  // For the owner's link overlays and the planners' tentative scopes only:
+  // believed flows change through the operations above.
+  net::NetworkView& view() { return store_; }
 
  private:
-  // One partition of the table. All hot state sits behind the shard's own
-  // mutex so workers touching disjoint shards never contend.
-  struct Shard {
-    mutable common::Mutex mu;
-    std::map<sdn::Cookie, TrackedFlow> flows GUARDED_BY(mu);
-    std::uint64_t version GUARDED_BY(mu) = 0;
-    std::uint64_t freeze_suppressed GUARDED_BY(mu) = 0;
-  };
-
-  // The shard a cookie routes to, or nullptr for cookies the table does not
-  // track.
-  Shard* shard_for(sdn::Cookie cookie) const;
-
-  // Concurrency: the table is written only by the control thread (commits,
-  // polls, drops); decision workers read the immutable NetworkView snapshot,
-  // never the table. The per-shard mutexes make that contract checkable —
-  // every shard member is GUARDED_BY its mutex, so an unlocked access from
-  // a future worker path is a compile error under -Wthread-safety (and the
-  // TSan lane would catch the same dynamically). Lock order: route_mu_
-  // before any shard mutex; shard mutexes are never nested with each other
-  // (cross-shard reads lock one shard at a time); any obs mutex is a leaf.
-  net::ShardMap shard_map_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-
-  // Cookie -> shard routing.
-  mutable common::Mutex route_mu_;
-  std::map<sdn::Cookie, std::uint32_t> route_ GUARDED_BY(route_mu_);
+  net::NetworkView store_;
+  std::map<sdn::Cookie, TrackedFlow> tracked_;
 
   bool freeze_enabled_ = true;  // set once at wiring time
+  std::uint64_t freeze_suppressed_total_ = 0;
   obs::FlowTracer* trace_ = nullptr;  // set once at wiring time
   obs::Counter freeze_suppressed_;
 };

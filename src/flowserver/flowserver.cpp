@@ -47,11 +47,6 @@ Flowserver::Flowserver(sdn::SdnFabric& fabric, FlowserverConfig config)
       }
     }
   }
-  // State-plane sharding: one shard per edge switch (the same edge set the
-  // poll sweep above discovered), installed into the empty table and view.
-  net::ShardMap map = net::ShardMap::by_edge_switch(topo);
-  table_.set_shard_map(map);
-  view_.set_shard_map(std::move(map));
   if (config_.poll_groups > 1) {
     poller_.set_groups(static_cast<std::uint32_t>(config_.poll_groups));
   }
@@ -74,11 +69,6 @@ Flowserver::Flowserver(sdn::SdnFabric& fabric, FlowserverConfig config)
   poll_demotions_metric_ = m.counter("flowserver.poll.demotions");
   poll_elephants_gauge_ = m.gauge("flowserver.poll.elephants");
   poll_mice_gauge_ = m.gauge("flowserver.poll.mice");
-  m.gauge("flowserver.shard.count")
-      .set(static_cast<double>(table_.shard_count()));
-  full_rebuilds_metric_ = m.counter("flowserver.shard.full_rebuilds");
-  shard_reloads_metric_ = m.counter("flowserver.shard.reloads");
-  link_refreshes_metric_ = m.counter("flowserver.shard.link_refreshes");
   write_chains_metric_ = m.counter("flowserver.write.chains");
   write_hops_metric_ = m.counter("flowserver.write.hops");
   write_truncated_metric_ = m.counter("flowserver.write.truncated");
@@ -89,74 +79,23 @@ Flowserver::Flowserver(sdn::SdnFabric& fabric, FlowserverConfig config)
 void Flowserver::start() { poller_.start(); }
 void Flowserver::stop() { poller_.stop(); }
 
-bool Flowserver::view_stale() const {
-  return !view_built_ || table_.version() != seen_table_version_ ||
-         fabric_->state_epoch() != seen_fabric_epoch_ ||
-         (monitor_ != nullptr && monitor_->samples() != seen_monitor_samples_);
-}
-
-void Flowserver::absorb_table_versions() {
-  std::uint64_t sum = 0;
-  for (std::uint32_t s = 0; s < table_.shard_count(); ++s) {
-    const std::uint64_t v = table_.shard_version(s);
-    view_.stamp_shard(s, v);
-    sum += v;
-  }
-  seen_table_version_ = sum;
-}
-
-void Flowserver::refresh_view() {
-  if (!view_built_) {
-    // Full rebuild: the first build, or a manual invalidate (the shard
-    // stamps can no longer be trusted).
-    view_.reset_links(fabric_->topology());
-    fabric_->snapshot_liveness_into(view_);
-    if (monitor_ != nullptr) monitor_->snapshot_into(view_);
-    table_.snapshot_into(view_);
-    absorb_table_versions();
-    ++full_rebuilds_;
-    full_rebuilds_metric_.inc();
-  } else {
-    // Incremental refresh: overlay the link sections only if the fabric
-    // epoch or the rate monitor moved (O(links), no flow copying), then
-    // reload exactly the flow shards whose table version ran past the stamp
-    // this view holds. Queries on the result are byte-identical to a full
-    // rebuild's: the flows map and link index are global and the index
-    // keeps keys sorted, so reload order cannot leak into answers.
-    const bool links_stale =
-        fabric_->state_epoch() != seen_fabric_epoch_ ||
-        (monitor_ != nullptr && monitor_->samples() != seen_monitor_samples_);
-    if (links_stale) {
-      view_.refresh_link_state(fabric_->topology());
-      fabric_->snapshot_liveness_into(view_);
-      if (monitor_ != nullptr) monitor_->snapshot_into(view_);
-      ++link_refreshes_;
-      link_refreshes_metric_.inc();
-    }
-    std::uint64_t sum = 0;
-    for (std::uint32_t s = 0; s < table_.shard_count(); ++s) {
-      const std::uint64_t v = table_.shard_version(s);
-      if (v != view_.shard_stamp(s)) {
-        view_.unload_shard(s);
-        table_.snapshot_shard_into(view_, s);
-        view_.stamp_shard(s, v);
-        ++shard_reloads_;
-        shard_reloads_metric_.inc();
-      }
-      sum += v;
-    }
-    seen_table_version_ = sum;
-  }
-  view_.stamp(++view_epoch_, fabric_->events().now());
-  seen_fabric_epoch_ = fabric_->state_epoch();
-  seen_monitor_samples_ = monitor_ != nullptr ? monitor_->samples() : 0;
-  view_built_ = true;
-  ++view_rebuilds_;
-}
-
 const net::NetworkView& Flowserver::view() {
-  if (view_stale()) refresh_view();
-  return view_;
+  net::NetworkView& v = table_.view();
+  const std::uint64_t samples = monitor_ != nullptr ? monitor_->samples() : 0;
+  if (links_built_ && fabric_->state_epoch() == seen_fabric_epoch_ &&
+      samples == seen_monitor_samples_) {
+    return v;
+  }
+  // O(links), and never reset_links: that would wipe the believed flows.
+  v.refresh_link_state(fabric_->topology());
+  fabric_->snapshot_liveness_into(v);
+  if (monitor_ != nullptr) monitor_->snapshot_into(v);
+  v.stamp(++view_epoch_, fabric_->events().now());
+  seen_fabric_epoch_ = fabric_->state_epoch();
+  seen_monitor_samples_ = samples;
+  links_built_ = true;
+  ++view_rebuilds_;
+  return v;
 }
 
 ReadAssignment Flowserver::to_assignment(const Candidate& c,
@@ -192,7 +131,7 @@ std::vector<net::NodeId> Flowserver::reachable_replicas(
   live.reserve(replicas.size());
   for (const net::NodeId r : replicas) {
     for (const net::Path& p : paths_.get(r, client)) {
-      if (view_.path_alive(p)) {
+      if (table_.view().path_alive(p)) {
         live.push_back(r);
         break;
       }
@@ -330,8 +269,8 @@ std::size_t Flowserver::drain() {
     batch.swap(queue_);
   }
 
-  // One snapshot for the whole batch. Stale inputs (a poll, a fault, a drop
-  // since the last build) force a rebuild here — never mid-batch.
+  // One view for the whole batch. A fault or rate sample since the last
+  // overlay refreshes its link sections here — never mid-batch.
   view();
   const sim::SimTime now = fabric_->events().now();
 
@@ -349,11 +288,6 @@ std::size_t Flowserver::drain() {
   }
   fabric_->install_paths(installs);
 
-  // The batch's own write-through commits moved the table version; the view
-  // already reflects them, so absorb the delta (re-stamping the touched
-  // shards) instead of rebuilding.
-  absorb_table_versions();
-
   for (Decided& d : results) {
     if (d.done) d.done(std::move(d.plan));
   }
@@ -363,6 +297,8 @@ std::size_t Flowserver::drain() {
 void Flowserver::decide_batch(std::deque<PendingRead>& batch,
                               sim::SimTime now,
                               std::vector<Decided>& results) {
+  net::NetworkView& view = table_.view();
+
   // --- pre-phase (serial, batch order) ----------------------------------
   // Everything order-sensitive that is NOT the evaluation itself happens
   // here: chooser policies run against the batch view, and multiread slots
@@ -397,7 +333,7 @@ void Flowserver::decide_batch(std::deque<PendingRead>& batch,
         s.unavailable = true;
         continue;
       }
-      s.replicas.assign(1, req.chooser(req.client, live, view_));
+      s.replicas.assign(1, req.chooser(req.client, live, view));
       continue;
     }
     s.replicas = req.replicas;
@@ -407,15 +343,15 @@ void Flowserver::decide_batch(std::deque<PendingRead>& batch,
     }
   }
 
-  // --- evaluate (parallel, against the immutable batch view) ------------
-  // Single-path slots read view_ directly (select() is pure). Multiread and
-  // write slots plan inside a view tentative scope that plan_readonly rolls
-  // back, so each slot sees exactly the batch-start state regardless of
-  // which worker runs it or in what order — that is the determinism
-  // argument. One worker plans on view_ itself; a pool gives each worker a
-  // scratch copy of it.
-  const auto evaluate = [this, &slots](net::NetworkView& scratch,
-                                       std::size_t i) {
+  // --- evaluate (parallel, against the batch-start view) -----------------
+  // Nothing writes the flow store until the replay below. Single-path slots
+  // read it directly (select() is pure). Multiread and write slots plan
+  // inside a view tentative scope that plan_readonly rolls back, so each
+  // slot sees exactly the batch-start state regardless of which worker runs
+  // it or in what order — that is the determinism argument. One worker
+  // plans on the store itself; a pool gives each worker a scratch copy.
+  const auto evaluate = [this, &slots, &view](net::NetworkView& scratch,
+                                              std::size_t i) {
     Slot& s = slots[i];
     if (s.unavailable) return;
     if (s.write) {
@@ -425,17 +361,17 @@ void Flowserver::decide_batch(std::deque<PendingRead>& batch,
       s.plans = planner_.plan_readonly(scratch, s.client, s.replicas, s.bytes,
                                        s.cookies, &s.stats);
     } else {
-      s.best = selector_.select(view_, s.client, s.replicas, s.bytes,
+      s.best = selector_.select(view, s.client, s.replicas, s.bytes,
                                 &s.stats);
     }
   };
   if (config_.decision_threads == 1) {
-    for (std::size_t i = 0; i < slots.size(); ++i) evaluate(view_, i);
+    for (std::size_t i = 0; i < slots.size(); ++i) evaluate(view, i);
   } else {
     if (pool_ == nullptr) {
       pool_ = std::make_unique<common::WorkerPool>(config_.decision_threads);
     }
-    std::vector<net::NetworkView> scratch(config_.decision_threads, view_);
+    std::vector<net::NetworkView> scratch(config_.decision_threads, view);
     pool_->parallel_for(slots.size(),
                         [&evaluate, &scratch](std::size_t worker,
                                               std::size_t i) {
@@ -444,9 +380,9 @@ void Flowserver::decide_batch(std::deque<PendingRead>& batch,
   }
 
   // --- replay (serial, batch order) --------------------------------------
-  // Commits write through table + view with the usual stale-share clamp, so
-  // a slot planned against the batch-start snapshot can never raise a flow
-  // above what an earlier slot's commit already lowered it to.
+  // Commits go to the table with the usual stale-share clamp, so a slot
+  // planned against the batch-start state can never raise a flow above what
+  // an earlier slot's commit already lowered it to.
   for (std::size_t i = 0; i < batch.size(); ++i) {
     Slot& s = slots[i];
     Decided d;
@@ -458,15 +394,15 @@ void Flowserver::decide_batch(std::deque<PendingRead>& batch,
       continue;
     }
     if (s.write) {
-      chain_planner_.commit_plans(view_, s.chain, units::Bytes{s.bytes},
-                                  s.cookies, now);
+      chain_planner_.commit_plans(s.chain, units::Bytes{s.bytes}, s.cookies,
+                                  now);
       d.plan = finish_chain(s.chain, s.cookies, s.cookies.size(), s.bytes,
                             s.stats, now);
       results.push_back(std::move(d));
       continue;
     }
     if (s.multiread) {
-      planner_.commit_plans(view_, s.plans, s.bytes, s.cookies, now);
+      planner_.commit_plans(s.plans, s.bytes, s.cookies, now);
       const bool split = s.plans.size() == 2;
       if (split) {
         ++split_reads_;
@@ -487,7 +423,7 @@ void Flowserver::decide_batch(std::deque<PendingRead>& batch,
       // Single-path slots draw their cookie at replay, in batch order, and
       // only on success.
       const sdn::Cookie cookie = fabric_->new_cookie();
-      selector_.commit(view_, *s.best, cookie, s.bytes, now);
+      selector_.commit(*s.best, cookie, s.bytes, now);
       d.plan.push_back(to_assignment(*s.best, cookie, s.bytes));
       audit_decision(s.stats, s.best->cost, now, false);
     }
@@ -537,8 +473,7 @@ void Flowserver::collect_stats() {
   const sim::SimTime now = fabric_->events().now();
   // Poll rotation: tick t sweeps the edges whose index lands in group
   // t mod poll_groups, so a full cycle of ticks covers every edge exactly
-  // once and each tick stales only the swept edges' shards. poll_groups 1
-  // degenerates to one full sweep.
+  // once. poll_groups 1 degenerates to one full sweep.
   const std::uint64_t groups = config_.poll_groups;
   const std::uint64_t group = (polls_ - 1) % groups;
   const std::uint64_t cycle = (polls_ - 1) / groups;
@@ -579,7 +514,7 @@ void Flowserver::collect_stats() {
         telemetry_.forget(rec.cookie);
         continue;
       }
-      const TrackedFlow* f = table_.find(rec.cookie);
+      const net::NetworkView::Flow* f = table_.find(rec.cookie);
       // Estimator audit: how far is the share the table believes (frozen
       // estimate or last accepted measurement) from the rate the data plane
       // is actually giving the flow right now? Sampled before UPDATEBW so
@@ -595,9 +530,10 @@ void Flowserver::collect_stats() {
         // Classification signal: the flow's byte delta over the window since
         // its last APPLIED sample (a deferred mouse accumulates window, so
         // its next applied sample still measures the true average rate).
-        const double window = (now - f->last_poll_time).seconds();
+        const TrackedFlow& t = *table_.tracked(rec.cookie);
+        const double window = (now - t.last_poll_time).seconds();
         const double window_rate =
-            window > 0.0 ? (rec.bytes - f->last_poll_bytes) / window
+            window > 0.0 ? (rec.bytes - t.last_poll_bytes) / window
                          : rec.rate_bps;
         const double edge_cap =
             f->path.links.empty()

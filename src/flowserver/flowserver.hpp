@@ -10,14 +10,13 @@
 //  * track flow add/drop requests in between polls so estimates stay usable
 //    without polling at very short intervals.
 //
-// Decisions run through one snapshot pipeline: requests enqueue, a decision
-// batch drains them against ONE epoch-stamped NetworkView (rebuilt only when
-// a poll, drop or fault moved the underlying state, and then only the
-// edge-switch shards that went stale), every request is planned read-only
-// against that batch-start view, commits replay in batch order through to
-// table and view, and all chosen paths are installed via the fabric's bulk
-// API with a single metrics flush. The synchronous entry points are batches
-// of one.
+// Decisions run through one pipeline: requests enqueue, a decision batch
+// drains them against the table's flow store as it stands at batch start
+// (its link sections re-overlaid only when a fault or a rate sample moved
+// them), every request is planned read-only against that state, commits
+// replay in batch order into the table, and all chosen paths are installed
+// via the fabric's bulk API with a single metrics flush. The synchronous
+// entry points are batches of one.
 #pragma once
 
 #include <deque>
@@ -52,16 +51,16 @@ struct FlowserverConfig {
   std::size_t batch_size = 1;
   sim::SimTime batch_window = sim::SimTime::from_millis(5.0);
   // Decision parallelism, >= 1: every request of a batch is evaluated
-  // against the IMMUTABLE batch-start view (1 = inline on the control
-  // thread, N = a worker pool of N) and commits replay serially in batch
-  // order, so decisions are byte-identical at every thread count by
-  // construction. Within a batch, decision i does not see decision i-1 —
-  // only the commit replay's stale-share clamp does.
+  // against the batch-start view, which nothing writes before the commit
+  // replay (1 = inline on the control thread, N = a worker pool of N), and
+  // commits replay serially in batch order, so decisions are byte-identical
+  // at every thread count by construction. Within a batch, decision i does
+  // not see decision i-1 — only the commit replay's stale-share clamp does.
   std::size_t decision_threads = 1;
   // Stats-poll rotation: split each poll_interval into this many staggered
   // ticks, each sweeping 1/poll_groups of the edge switches. Every edge is
-  // still polled once per interval, but one tick stales only the shards of
-  // the edges it swept (1 = one full sweep per interval).
+  // still polled once per interval; only the tick its samples land on
+  // changes (1 = one full sweep per interval).
   std::size_t poll_groups = 1;
   // Adaptive budgeted telemetry (Floware-style, DESIGN.md §14): classify
   // flows as elephants vs mice from per-poll byte deltas, apply elephant
@@ -90,7 +89,7 @@ class Flowserver {
   using PlanCallback = std::function<void(std::vector<ReadAssignment>)>;
   // External replica policy hook for the batched path: picks one of
   // `replicas` (all of which have at least one live path to `client` in the
-  // view) reading utilization/liveness from the batch's snapshot.
+  // view) reading utilization/liveness from the batch's view.
   using ReplicaChooser = std::function<net::NodeId(
       net::NodeId client, const std::vector<net::NodeId>& replicas,
       const net::NetworkView& view)>;
@@ -192,31 +191,24 @@ class Flowserver {
   // One stats-collection cycle (also runs on the poll timer).
   void collect_stats();
 
-  // --- the decision snapshot --------------------------------------------
+  // --- the decision view --------------------------------------------------
 
-  // The current decision view, rebuilt first if any of its inputs moved:
-  // the table's mutation version (polls, drops), the fabric's state epoch
-  // (faults) or the rate monitor's sample count. The pipeline's own
-  // write-through commits do NOT stale the view.
+  // The table's flow store as decisions read it, with its link sections
+  // (liveness, monitor rates) re-overlaid first if the fabric's state epoch
+  // (faults) or the rate monitor's sample count moved. Polls, drops and
+  // commits change the store itself, so they never stale it.
   const net::NetworkView& view();
+  // Link-section refreshes so far (the first view() is one).
   std::uint64_t view_rebuilds() const { return view_rebuilds_; }
-  // Forces the next view() to rebuild regardless of epochs.
-  void invalidate_view() { view_built_ = false; }
+  // Always 0: there is no second copy of the flows to reload. Kept for
+  // readers that still export it.
+  std::uint64_t shard_reloads() const { return 0; }
 
-  // Refresh telemetry. The flow table and the view's believed-flow section
-  // are partitioned by source edge switch (net::ShardMap::by_edge_switch):
-  // a server counts one full rebuild (the first build or a manual
-  // invalidate), then per-shard reloads and link-section refreshes.
-  std::uint32_t state_shards() const { return table_.shard_count(); }
-  std::uint64_t full_view_rebuilds() const { return full_rebuilds_; }
-  std::uint64_t shard_reloads() const { return shard_reloads_; }
-  std::uint64_t link_refreshes() const { return link_refreshes_; }
-
-  // Attaches a rate monitor whose per-link tx rates are copied into every
+  // Attaches a rate monitor whose per-link tx rates are overlaid on the
   // view (Sinbad-R's utilization signal). Not owned; null detaches.
   void set_rate_monitor(const sdn::LinkRateMonitor* monitor) {
     monitor_ = monitor;
-    view_built_ = false;
+    links_built_ = false;
   }
 
   sdn::SdnFabric& fabric() { return *fabric_; }
@@ -270,13 +262,6 @@ class Flowserver {
   void audit_decision(const SelectStats& stats, const CostBreakdown& cost,
                       sim::SimTime now, bool split);
 
-  bool view_stale() const;
-  void refresh_view();
-  // Re-stamps the view's shard sections at the table's current versions and
-  // refreshes seen_table_version_ — how a drain absorbs its own write-through
-  // commits without forcing shard reloads that would copy identical state.
-  void absorb_table_versions();
-
   // Replicas with at least one live path to `client` in the current view,
   // original order preserved.
   std::vector<net::NodeId> reachable_replicas(
@@ -315,7 +300,7 @@ class Flowserver {
       double bytes, const SelectStats& stats, sim::SimTime now);
 
   // The decision pipeline: serial pre-phase + evaluation against the
-  // immutable batch view + in-order commit replay.
+  // batch-start view + in-order commit replay.
   void decide_batch(std::deque<PendingRead>& batch, sim::SimTime now,
                     std::vector<Decided>& results);
 
@@ -349,21 +334,13 @@ class Flowserver {
   std::uint64_t flushed_promotions_ = 0;
   std::uint64_t flushed_demotions_ = 0;
 
-  // Decision snapshot state.
+  // Link-section state of the view.
   const sdn::LinkRateMonitor* monitor_ = nullptr;
-  net::NetworkView view_;
-  bool view_built_ = false;
+  bool links_built_ = false;
   std::uint64_t view_epoch_ = 0;
   std::uint64_t view_rebuilds_ = 0;
-  std::uint64_t seen_table_version_ = 0;
   std::uint64_t seen_fabric_epoch_ = 0;
   std::uint64_t seen_monitor_samples_ = 0;
-
-  // Per-shard freshness lives in the view's shard stamps (table shard
-  // version at copy time); these only count the refresh work.
-  std::uint64_t full_rebuilds_ = 0;
-  std::uint64_t shard_reloads_ = 0;
-  std::uint64_t link_refreshes_ = 0;
 
   // Admission queue. Guarded so producer threads can post_read() while the
   // control thread drains; everything else in the Flowserver stays
@@ -384,10 +361,6 @@ class Flowserver {
   obs::Counter selections_metric_;
   obs::Counter split_reads_metric_;
   obs::Histogram poll_samples_hist_;  // per-cycle samples applied (work/tick)
-  // View-refresh metrics (flowserver.shard.*).
-  obs::Counter full_rebuilds_metric_;
-  obs::Counter shard_reloads_metric_;
-  obs::Counter link_refreshes_metric_;
   // Adaptive-telemetry metrics (flowserver.poll.*; zero while the layer is
   // inactive).
   obs::Counter poll_applied_metric_;

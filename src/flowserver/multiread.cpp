@@ -76,20 +76,18 @@ std::vector<SubflowPlan> MultiReadPlanner::plan_readonly(
   return plans;
 }
 
-void MultiReadPlanner::commit_plans(net::NetworkView& view,
-                                    const std::vector<SubflowPlan>& plans,
+void MultiReadPlanner::commit_plans(const std::vector<SubflowPlan>& plans,
                                     double request_bytes,
                                     const std::vector<sdn::Cookie>& cookies,
                                     sim::SimTime now) {
   MAYFLOWER_ASSERT(plans.size() <= 2 && cookies.size() >= plans.size());
   for (std::size_t i = 0; i < plans.size(); ++i) {
-    selector_->commit(view, plans[i].candidate, cookies[i], request_bytes,
-                      now);
+    selector_->commit(plans[i].candidate, cookies[i], request_bytes, now);
   }
   if (plans.size() == 2) {
-    selector_->setbw(view, cookies[0], plans[0].planned_bps, now);
-    selector_->resize(view, cookies[0], plans[0].bytes, now);
-    selector_->resize(view, cookies[1], plans[1].bytes, now);
+    selector_->table().setbw(cookies[0], plans[0].planned_bps, now);
+    selector_->table().resize(cookies[0], plans[0].bytes, now);
+    selector_->table().resize(cookies[1], plans[1].bytes, now);
   }
 }
 

@@ -12,8 +12,8 @@
 // Planning and committing are separate steps. plan_readonly() runs both
 // selection rounds on a view — round 2 sees subflow 1's tentative
 // registration — and restores the view before returning, so a rejected leg
-// never reaches the table or the flow trace. commit_plans() then writes the
-// chosen subflows through to table and view.
+// never reaches the table or the flow trace. commit_plans() then applies the
+// chosen subflows to the table.
 #pragma once
 
 #include <vector>
@@ -34,7 +34,7 @@ class MultiReadPlanner {
   explicit MultiReadPlanner(ReplicaPathSelector& selector)
       : selector_(&selector) {}
 
-  // Plans against `scratch` — the batch snapshot or a worker-private copy
+  // Plans against `scratch` — the flow store itself or a worker-private copy
   // of it — and leaves it exactly as found (the planning transcript runs
   // inside a view tentative scope and rolls back). Touches no table and no
   // live state, so workers may run it concurrently on their own scratches.
@@ -47,12 +47,10 @@ class MultiReadPlanner {
       const std::vector<sdn::Cookie>& cookies,
       SelectStats* stats = nullptr) const;
 
-  // Commits a plan from plan_readonly through to the table and `view`:
-  // every subflow lands with the full request size (stale-share clamp
-  // included); a split then sets subflow 1's adjusted share and both
-  // subflows' split sizes.
-  void commit_plans(net::NetworkView& view,
-                    const std::vector<SubflowPlan>& plans,
+  // Commits a plan from plan_readonly to the table: every subflow lands
+  // with the full request size (stale-share clamp included); a split then
+  // sets subflow 1's adjusted share and both subflows' split sizes.
+  void commit_plans(const std::vector<SubflowPlan>& plans,
                     double request_bytes,
                     const std::vector<sdn::Cookie>& cookies, sim::SimTime now);
 

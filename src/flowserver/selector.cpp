@@ -49,9 +49,8 @@ net::NetworkView make_decision_view(const net::Topology& topo,
                                     const FlowStateTable& table,
                                     std::uint64_t epoch,
                                     sim::SimTime built_at) {
-  net::NetworkView view;
-  view.reset_links(topo);
-  table.snapshot_into(view);
+  net::NetworkView view = table.view();
+  view.refresh_link_state(topo);
   view.stamp(epoch, built_at);
   return view;
 }
@@ -76,37 +75,18 @@ std::optional<Candidate> ReplicaPathSelector::select(
   return best;
 }
 
-void ReplicaPathSelector::commit(net::NetworkView& view,
-                                 const Candidate& chosen, sdn::Cookie cookie,
+void ReplicaPathSelector::commit(const Candidate& chosen, sdn::Cookie cookie,
                                  double request_bytes, sim::SimTime now) {
   for (const auto& [bumped_cookie, new_bps] : chosen.bumped) {
-    const TrackedFlow* f = table_->find(bumped_cookie);
+    const net::NetworkView::Flow* f = table_->find(bumped_cookie);
     if (f == nullptr) continue;  // finished between select() and commit()
-    // The reduced share was computed from the snapshot the selection read. A
-    // stats poll (or another commit) interleaved since the snapshot was
-    // taken may have *lowered* the flow's share below our estimate; SETBW
-    // must never raise a flow above what the fabric currently gives it, so
-    // clamp against the authoritative table, not the (possibly stale) view.
-    const double clamped = std::min(f->bw_bps, new_bps);
-    table_->setbw(bumped_cookie, clamped, now);
-    if (view.find(bumped_cookie) != nullptr) {
-      view.set_flow_bps(bumped_cookie, clamped);
-    }
+    // The reduced share was computed from the state the selection read. A
+    // stats poll (or an earlier commit) since then may have *lowered* the
+    // flow's share below our estimate; SETBW must never raise a flow above
+    // what the fabric currently gives it, so clamp against the table.
+    table_->setbw(bumped_cookie, std::min(f->bw_bps, new_bps), now);
   }
   table_->add(cookie, chosen.path, request_bytes, chosen.est_bw_bps, now);
-  view.add_flow(cookie, chosen.path, request_bytes, chosen.est_bw_bps);
-}
-
-void ReplicaPathSelector::setbw(net::NetworkView& view, sdn::Cookie cookie,
-                                 double bw_bps, sim::SimTime now) {
-  table_->setbw(cookie, bw_bps, now);
-  view.set_flow_bps(cookie, bw_bps);
-}
-
-void ReplicaPathSelector::resize(net::NetworkView& view, sdn::Cookie cookie,
-                                 double new_size_bytes, sim::SimTime now) {
-  table_->resize(cookie, new_size_bytes, now);
-  view.resize_flow(cookie, new_size_bytes);
 }
 
 }  // namespace mayflower::flowserver

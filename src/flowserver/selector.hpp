@@ -11,9 +11,8 @@
 // reads — link capacities, path liveness, believed shares — comes from one
 // NetworkView snapshot, so all selections in a decision batch see identical
 // state. Committing a selection applies SETBW to every flow whose share
-// changed (freezing them) and registers the new flow, writing through to
-// BOTH the authoritative FlowStateTable and the batch's view so later
-// decisions in the same batch observe it.
+// changed (freezing them) and registers the new flow in the FlowStateTable,
+// whose flow store is the view later decisions read.
 #pragma once
 
 #include <optional>
@@ -46,16 +45,17 @@ Candidate evaluate_path(const BandwidthModel& model,
                         const net::NetworkView& view, net::NodeId replica,
                         const net::Path& path, double request_bytes);
 
-// View-only commit for read-only planning against a scratch snapshot:
-// applies the candidate's bumped shares and registers the new flow in
-// `view` without touching any table. No stale-share clamp — a scratch view
-// IS the snapshot, so there is no fresher state to clamp against.
+// View-only commit for read-only planning inside a tentative scope: applies
+// the candidate's bumped shares and registers the new flow in `view`
+// without touching any table. No stale-share clamp — the scope IS the state
+// being planned against, so there is nothing fresher to clamp to.
 void apply_candidate(net::NetworkView& view, const Candidate& chosen,
                      sdn::Cookie cookie, double request_bytes);
 
-// Builds a decision view from a table alone: configured capacities, every
-// link up, no rates. The Flowserver layers fabric liveness and monitor rates
-// on top; fixture-based tests and the walkthrough use it as-is.
+// A copy of a table's flow store with link sections from the topology:
+// configured capacities, every link up, no rates. The Flowserver overlays
+// fabric liveness and monitor rates on the store itself; fixture-based
+// tests and the walkthrough use this detached copy.
 net::NetworkView make_decision_view(const net::Topology& topo,
                                     const FlowStateTable& table,
                                     std::uint64_t epoch = 0,
@@ -82,20 +82,15 @@ class ReplicaPathSelector {
                                   double request_bytes,
                                   SelectStats* stats = nullptr) const;
 
-  // Applies a selection: SETBW on bumped flows, registers the new flow under
-  // `cookie` with its estimated share (both frozen per Pseudocode 2). Writes
-  // through to the table AND `view`. The stale-share clamp reads the TABLE's
-  // current value — the authoritative state at commit time — so a selection
-  // made against an older snapshot can never raise a flow above what a
-  // fresher poll already lowered it to (min(current, planned)).
-  void commit(net::NetworkView& view, const Candidate& chosen,
-              sdn::Cookie cookie, double request_bytes, sim::SimTime now);
-
-  // Write-through mutations for split sizing and chain bottleneck pinning.
-  void setbw(net::NetworkView& view, sdn::Cookie cookie, double bw_bps,
-              sim::SimTime now);
-  void resize(net::NetworkView& view, sdn::Cookie cookie,
-              double new_size_bytes, sim::SimTime now);
+  // Applies a selection to the table: SETBW on bumped flows, registers the
+  // new flow under `cookie` with its estimated share (both frozen per
+  // Pseudocode 2). The stale-share clamp reads the table's current share —
+  // the state at commit time — so a selection planned against an older copy
+  // (a worker's scratch, or the batch-start state an earlier commit of the
+  // batch has since moved) can never raise a flow above what was already
+  // lowered (min(current, planned)).
+  void commit(const Candidate& chosen, sdn::Cookie cookie,
+              double request_bytes, sim::SimTime now);
 
   // Ablation knob: when false the cost drops Eq. 2's second term (impact on
   // existing flows) and greedily maximizes the new flow's own bandwidth.

@@ -89,18 +89,16 @@ std::vector<ChainHopPlan> WriteChainPlanner::plan_readonly(
   return plans;
 }
 
-void WriteChainPlanner::commit_plans(net::NetworkView& view,
-                                     const std::vector<ChainHopPlan>& plans,
+void WriteChainPlanner::commit_plans(const std::vector<ChainHopPlan>& plans,
                                      units::Bytes bytes,
                                      const std::vector<sdn::Cookie>& cookies,
                                      sim::SimTime now) {
   MAYFLOWER_ASSERT(cookies.size() >= plans.size());
   for (std::size_t i = 0; i < plans.size(); ++i) {
-    selector_->commit(view, plans[i].candidate, cookies[i], bytes.value(),
-                      now);
+    selector_->commit(plans[i].candidate, cookies[i], bytes.value(), now);
   }
   for (std::size_t i = 0; i < plans.size(); ++i) {
-    selector_->setbw(view, cookies[i], plans[i].planned_bps, now);
+    selector_->table().setbw(cookies[i], plans[i].planned_bps, now);
   }
 }
 

@@ -56,9 +56,10 @@ class WriteChainPlanner {
       : selector_(&selector) {}
 
   // Routes hops nodes[0]->nodes[1]->... in order against `scratch` — the
-  // batch snapshot or a worker-private copy of it — registering each routed
-  // hop in a view tentative scope (so hop i+1 sees hop i) that is rolled
-  // back before returning; every hop is then sized to the chain bottleneck.
+  // flow store itself or a worker-private copy of it — registering each
+  // routed hop in a view tentative scope (so hop i+1 sees hop i) that is
+  // rolled back before returning; every hop is then sized to the chain
+  // bottleneck.
   // `cookies` must provide nodes.size()-1 ids; the first plans.size() are
   // used in order. An unreachable hop TRUNCATES the chain: the routed prefix
   // is returned and the fs layer degrades the remaining hops to the
@@ -69,11 +70,10 @@ class WriteChainPlanner {
       units::Bytes bytes, const std::vector<sdn::Cookie>& cookies,
       SelectStats* stats = nullptr) const;
 
-  // Commits plans from plan_readonly through to the table and `view`:
-  // registers every hop at its estimated share (stale-share clamp
-  // included), then SETBWs every hop to the chain bottleneck.
-  void commit_plans(net::NetworkView& view,
-                    const std::vector<ChainHopPlan>& plans, units::Bytes bytes,
+  // Commits plans from plan_readonly to the table: registers every hop at
+  // its estimated share (stale-share clamp included), then SETBWs every hop
+  // to the chain bottleneck.
+  void commit_plans(const std::vector<ChainHopPlan>& plans, units::Bytes bytes,
                     const std::vector<sdn::Cookie>& cookies, sim::SimTime now);
 
  private:

@@ -1,8 +1,8 @@
 // Per-link reverse flow index: LinkId -> ordered set of flow keys.
 //
 // The shared substrate behind every "who crosses this link?" query. The fluid
-// simulator (net::FlowSim, keyed by FlowId) and the Flowserver's state table
-// (flowserver::FlowStateTable, keyed by sdn::Cookie) both maintain one on
+// simulator (net::FlowSim, keyed by FlowId) and the NetworkView flow store
+// the Flowserver's table owns (keyed by sdn::Cookie) both maintain one on
 // flow add/drop/reroute, turning per-link lookups from O(total flows) scans
 // into O(flows on the link).
 //

@@ -10,8 +10,6 @@ void NetworkView::reset_links(const Topology& topo) {
   index_.clear();
   tentative_ = false;
   undo_.clear();
-  for (auto& keys : shard_keys_) keys.clear();
-  shard_stamp_.assign(shard_stamp_.size(), 0);
 }
 
 void NetworkView::refresh_link_state(const Topology& topo) {
@@ -23,56 +21,6 @@ void NetworkView::refresh_link_state(const Topology& topo) {
     capacity_bps_[l] = topo.link(l).capacity_bps;
   }
   stats_.clear();
-}
-
-void NetworkView::set_shard_map(ShardMap map) {
-  MAYFLOWER_ASSERT_MSG(flows_.empty(),
-                       "install the shard map before loading flows");
-  shard_map_ = std::move(map);
-  if (shard_map_.sharded()) {
-    shard_keys_.assign(shard_map_.shard_count(), {});
-    shard_stamp_.assign(shard_map_.shard_count(), 0);
-  } else {
-    shard_keys_.clear();
-    shard_stamp_.clear();
-  }
-}
-
-void NetworkView::unload_shard(std::uint32_t s) {
-  MAYFLOWER_ASSERT_MSG(!tentative_, "unload_shard inside a tentative scope");
-  if (!shard_map_.sharded()) {
-    // Single shard: unloading it empties the flow section entirely.
-    flows_.clear();
-    index_.clear();
-    return;
-  }
-  MAYFLOWER_ASSERT(s < shard_keys_.size());
-  for (const std::uint64_t key : shard_keys_[s]) {
-    const auto it = flows_.find(key);
-    MAYFLOWER_ASSERT_MSG(it != flows_.end(), "shard key list out of sync");
-    index_.remove(key, it->second.path.links);
-    flows_.erase(it);
-  }
-  shard_keys_[s].clear();
-}
-
-void NetworkView::track_key_added(std::uint64_t key, const Path& path) {
-  if (!shard_map_.sharded()) return;
-  shard_keys_[shard_map_.shard_of_path(path)].push_back(key);
-}
-
-void NetworkView::track_key_removed(std::uint64_t key, const Path& path) {
-  if (!shard_map_.sharded()) return;
-  std::vector<std::uint64_t>& keys =
-      shard_keys_[shard_map_.shard_of_path(path)];
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (keys[i] == key) {
-      keys[i] = keys.back();
-      keys.pop_back();
-      return;
-    }
-  }
-  MAYFLOWER_ASSERT_MSG(false, "shard key list out of sync");
 }
 
 void NetworkView::mark_link_down(LinkId link) {
@@ -87,18 +35,6 @@ void NetworkView::set_tx_rate(LinkId link, double bps) {
 
 void NetworkView::set_flow_stats(std::uint64_t key, FlowStats stats) {
   stats_[key] = std::move(stats);
-}
-
-void NetworkView::load_flow(Flow f) {
-  // Hinted at the end: a full rebuild loads in key order, so each insert is
-  // amortized O(1); a single-shard reload falls back to a normal insert.
-  const std::uint64_t key = f.key;
-  const std::size_t before = flows_.size();
-  const auto it = flows_.emplace_hint(flows_.end(), key, std::move(f));
-  MAYFLOWER_ASSERT_MSG(flows_.size() == before + 1,
-                       "view already holds this flow key");
-  index_.add(key, it->second.path.links);
-  track_key_added(key, it->second.path);
 }
 
 bool NetworkView::link_up(LinkId link) const {
@@ -170,7 +106,6 @@ void NetworkView::add_flow(std::uint64_t key, Path path, double size_bytes,
   f.bw_bps = bw_bps;
   const auto it = flows_.emplace(key, std::move(f)).first;
   index_.add(key, it->second.path.links);
-  track_key_added(key, it->second.path);
 }
 
 void NetworkView::set_flow_bps(std::uint64_t key, double bw_bps) {
@@ -190,12 +125,21 @@ void NetworkView::resize_flow(std::uint64_t key, double new_size_bytes) {
   it->second.remaining_bytes = new_size_bytes;
 }
 
+void NetworkView::set_flow_remaining(std::uint64_t key,
+                                     double remaining_bytes) {
+  const auto it = flows_.find(key);
+  MAYFLOWER_ASSERT_MSG(it != flows_.end(),
+                       "set_flow_remaining on unknown flow");
+  MAYFLOWER_ASSERT(remaining_bytes >= 0.0);
+  record_undo(key);
+  it->second.remaining_bytes = remaining_bytes;
+}
+
 void NetworkView::drop_flow(std::uint64_t key) {
   const auto it = flows_.find(key);
   if (it == flows_.end()) return;
   record_undo(key);
   index_.remove(key, it->second.path.links);
-  track_key_removed(key, it->second.path);
   flows_.erase(it);
 }
 
@@ -212,13 +156,11 @@ void NetworkView::rollback_tentative() {
     const auto cur = flows_.find(key);
     if (cur != flows_.end()) {
       index_.remove(key, cur->second.path.links);
-      track_key_removed(key, cur->second.path);
       flows_.erase(cur);
     }
     if (prior.has_value()) {
       const auto ins = flows_.emplace(key, std::move(*prior)).first;
       index_.add(key, ins->second.path.links);
-      track_key_added(key, ins->second.path);
     }
   }
   tentative_ = false;

@@ -1,22 +1,24 @@
-// NetworkView: an immutable, epoch-stamped snapshot of everything a
-// control-plane decision is allowed to read — link capacities and liveness,
-// per-link transmit rates (edge-uplink utilization), the controller's
-// believed per-flow shares, and optionally per-transfer data-plane telemetry.
+// NetworkView: everything a control-plane decision is allowed to read — link
+// capacities and liveness, per-link transmit rates (edge-uplink
+// utilization), the controller's believed per-flow shares, and optionally
+// per-transfer data-plane telemetry.
 //
-// A view is built once per decision batch (from the FlowStateTable, the
-// fabric's liveness map and a LinkRateMonitor) and every consumer — the
-// replica/path selector, the multi-read planner, write placement and all
-// replica policies — reads the SAME state at the SAME time. A batch's
-// commits write through the view (add_flow / set_flow_bps / resize_flow) so
-// it stays current for the next batch without a rebuild; mutations from
-// outside the decision pipeline (stats polls, drops, faults) instead
-// invalidate the view, forcing a rebuild before the next batch.
+// For the Flowserver the flow section is THE flow store: the
+// FlowStateTable owns one view and applies every Pseudocode 2 operation
+// (add, drop, SETBW, resize, UPDATEBW, fault drops) to it, and decisions
+// read that same object. There is no second copy to rebuild or refresh;
+// only the link sections are re-overlaid when the fabric's fault epoch or
+// the rate monitor moves. Schemes without a flow table (ECMP, Hedera) get
+// link-only views from sdn::ViewBuilder. Every consumer of one decision
+// batch — the replica/path selector, the multi-read planner, write
+// placement and the replica policies — reads the same state; decision
+// workers read private copies taken at batch start.
 //
-// The flow section mirrors FlowStateTable semantics and adds what decisions
-// query: a per-link reverse index (LinkIndex) keeps flows_on_link /
-// flows_on_path at O(flows actually crossing the links) in key order, and a
-// bounded undo log provides the tentative scope the read-only planners
-// (multi-read split, write chain) plan inside.
+// The flow section answers what decisions query: a per-link reverse index
+// (LinkIndex) keeps flows_on_link / flows_on_path at O(flows actually
+// crossing the links) in key order, and a bounded undo log provides the
+// tentative scope the read-only planners (multi-read split, write chain)
+// plan inside.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +29,6 @@
 
 #include "net/link_index.hpp"
 #include "net/paths.hpp"
-#include "net/shard_map.hpp"
 #include "net/topology.hpp"
 #include "sim/time.hpp"
 
@@ -35,8 +36,8 @@ namespace mayflower::net {
 
 class NetworkView {
  public:
-  // One believed flow, copied from the controller's state table. The key is
-  // the fabric cookie (the net layer does not name sdn types).
+  // One believed flow. The key is the fabric cookie (the net layer does not
+  // name sdn types).
   struct Flow {
     std::uint64_t key = 0;
     Path path;
@@ -53,8 +54,9 @@ class NetworkView {
     Path path;
   };
 
-  // --- build-time population --------------------------------------------
+  // --- link sections ------------------------------------------------------
 
+  // Stamps the view with the epoch and time its link sections were taken.
   void stamp(std::uint64_t epoch, sim::SimTime built_at) {
     epoch_ = epoch;
     built_at_ = built_at;
@@ -68,40 +70,12 @@ class NetworkView {
 
   // Re-initializes ONLY the link sections (capacity, liveness, tx rates,
   // data-plane stats) from the topology, leaving the believed-flow section
-  // untouched. The sharded rebuild path uses this when the fabric epoch or
-  // monitor moved but the flow shards did not: liveness/rates are O(links)
-  // to overlay, the flow copy is the cost sharding avoids.
+  // untouched — how a flow store picks up a fault or a new rate sample.
   void refresh_link_state(const Topology& topo);
-
-  // Partitions the believed-flow section by `map` (per-shard key lists and
-  // version stamps). Must be installed while the view holds no flows; an
-  // unsharded map (the default) keeps zero shard bookkeeping.
-  void set_shard_map(ShardMap map);
-  const ShardMap& shard_map() const { return shard_map_; }
-  std::uint32_t shard_count() const { return shard_map_.shard_count(); }
-
-  // Removes every believed flow belonging to shard `s` (the first half of a
-  // per-shard reload; snapshotting the table's shard back in is the second).
-  // Not legal inside a tentative scope.
-  void unload_shard(std::uint32_t s);
-
-  // Per-shard freshness stamp: the table shard version this view's shard
-  // section was built from. Written by the view's owner at refresh time.
-  std::uint64_t shard_stamp(std::uint32_t s) const {
-    MAYFLOWER_ASSERT(s < shard_stamp_.size() || shard_stamp_.empty());
-    return shard_stamp_.empty() ? 0 : shard_stamp_[s];
-  }
-  void stamp_shard(std::uint32_t s, std::uint64_t version) {
-    if (shard_stamp_.empty()) shard_stamp_.resize(shard_count(), 0);
-    MAYFLOWER_ASSERT(s < shard_stamp_.size());
-    shard_stamp_[s] = version;
-  }
 
   void mark_link_down(LinkId link);
   void set_tx_rate(LinkId link, double bps);
   void set_flow_stats(std::uint64_t key, FlowStats stats);
-  // Inserts one believed flow verbatim (snapshot population; no undo).
-  void load_flow(Flow f);
 
   // --- network facts ----------------------------------------------------
 
@@ -134,16 +108,18 @@ class NetworkView {
     return stats_;
   }
 
-  // --- write-through mutations (batch commits) --------------------------
+  // --- flow mutations -----------------------------------------------------
   //
-  // A decision batch that commits against the authoritative table applies
-  // the same mutation here so the rest of the batch sees it. Honors the
-  // tentative scope below.
+  // The flow store's owner applies its committed operations here; planners
+  // apply tentative ones inside the scope below. All honor that scope.
 
   void add_flow(std::uint64_t key, Path path, double size_bytes,
                 double bw_bps);
   void set_flow_bps(std::uint64_t key, double bw_bps);
+  // Resizes a flow and resets its remaining bytes to the new size.
   void resize_flow(std::uint64_t key, double new_size_bytes);
+  // Sets what a stats poll measured as still to move.
+  void set_flow_remaining(std::uint64_t key, double remaining_bytes);
   void drop_flow(std::uint64_t key);
 
   // --- tentative scope (read-only planning) -----------------------------
@@ -157,10 +133,6 @@ class NetworkView {
 
  private:
   void record_undo(std::uint64_t key);
-  // Shard-key bookkeeping around flow insertion/removal; no-ops unless a
-  // sharded map is installed, so an unsharded view pays nothing.
-  void track_key_added(std::uint64_t key, const Path& path);
-  void track_key_removed(std::uint64_t key, const Path& path);
 
   std::uint64_t epoch_ = 0;
   sim::SimTime built_at_;
@@ -172,15 +144,6 @@ class NetworkView {
   std::map<std::uint64_t, Flow> flows_;
   LinkIndex index_;  // link -> keys of believed flows crossing it
   std::map<std::uint64_t, FlowStats> stats_;
-
-  // Sharded layout (empty vectors when the map is unsharded): per-shard key
-  // lists so unload_shard() is O(flows in the shard), plus per-shard
-  // freshness stamps. The flows map and link index above stay GLOBAL — a
-  // sharded view answers flows_on_link/flows_on_path byte-identically to an
-  // unsharded one; sharding changes only which sections a rebuild touches.
-  ShardMap shard_map_;
-  std::vector<std::vector<std::uint64_t>> shard_keys_;
-  std::vector<std::uint64_t> shard_stamp_;
 
   bool tentative_ = false;
   std::vector<std::pair<std::uint64_t, std::optional<Flow>>> undo_;

@@ -130,8 +130,8 @@ class FlowTracer {
               bool killed) REQUIRES(mu_);
 
   bool enabled_;
-  // Acquired after FlowStateTable::mu_ (trace hooks fire under the table
-  // lock; the tracer never calls back out).
+  // A leaf lock: the flow table's hooks call in with no lock held, and the
+  // tracer never calls back out.
   mutable common::Mutex mu_;
   std::map<std::uint64_t, FlowTraceRecord> active_ GUARDED_BY(mu_);
   std::vector<FlowTraceRecord> finished_

@@ -27,11 +27,10 @@ class StatsPoller {
   sim::SimTime interval() const { return interval_; }
 
   // Splits each collection cycle into `n` staggered ticks (fired at
-  // interval/n) so a consumer can sweep 1/n of the edge switches per tick —
-  // the poll-rotation half of the sharded state plane: every edge is still
-  // polled once per interval, but each tick stales only the shards of the
-  // edges it actually swept. Must be set while stopped; 1 restores the
-  // legacy single-sweep cycle.
+  // interval/n) so a consumer can sweep 1/n of the edge switches per tick:
+  // every edge is still polled once per interval, but its samples land on
+  // its own tick. Must be set while stopped; 1 restores the single-sweep
+  // cycle.
   void set_groups(std::uint32_t n);
   std::uint32_t groups() const { return groups_; }
 

@@ -19,8 +19,7 @@ const net::NetworkView& ViewBuilder::view() {
     if (monitor_only) {
       // Only the rate monitor moved: capacities and liveness are unchanged
       // (the fabric epoch did not advance), so overlay the fresh tx rates on
-      // the cached view instead of rebuilding it — O(monitored links), the
-      // monitor-driven analogue of the Flowserver's per-shard reload.
+      // the cached view instead of rebuilding it — O(monitored links).
       monitor_->snapshot_into(view_);
       ++monitor_refreshes_;
     } else {

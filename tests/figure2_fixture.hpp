@@ -74,8 +74,8 @@ struct Figure2 {
     return c;
   }
 
-  // Decision snapshot of the fixture's current table state (tests rebuild
-  // one whenever they mutate the table directly).
+  // A detached copy of the fixture's flow store with link sections (tests
+  // take a fresh one after mutating the table directly).
   net::NetworkView view() const { return make_decision_view(topo, table); }
 
   net::Path path_via(net::NodeId agg) const {

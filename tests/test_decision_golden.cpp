@@ -11,6 +11,11 @@
 // order) that records every plan as it is delivered; each test also checks
 // that the loop's completion vector equals run_experiment's, so the
 // transcript is the one the CLI's run actually makes.
+//
+// The trace golden pins what the decision transcripts do not: the fig4 run's
+// flow trace (every finished flow record), decision audits (including the
+// table's frozen-flow and freeze-suppression counts) and poll-time belief
+// errors, recorded from harness::run_experiment with an observability hub.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -21,6 +26,7 @@
 #include "common/rng.hpp"
 #include "golden.hpp"
 #include "harness/experiment.hpp"
+#include "obs/observability.hpp"
 #include "sdn/fabric.hpp"
 #include "workload/catalog.hpp"
 
@@ -120,12 +126,52 @@ void expect_replays(const harness::ExperimentConfig& cfg,
   }
 }
 
+// Every FlowTracer record of one traced run, doubles in hexfloat.
+std::string trace_transcript(harness::ExperimentConfig cfg,
+                             std::size_t threads) {
+  obs::Observability hub;
+  cfg.obs = &hub;
+  cfg.flowserver.decision_threads = threads;
+  (void)harness::run_experiment(cfg);
+  std::ostringstream out;
+  out << std::hexfloat;
+  for (const obs::FlowTraceRecord& f : hub.trace.finished()) {
+    out << "flow cookie=" << f.cookie << " planned_bw=" << f.planned_bw_bps
+        << " planned_bytes=" << f.planned_bytes << " start=" << f.start_sec
+        << " end=" << f.end_sec << " realized=" << f.realized_bw_bps
+        << " moved=" << f.moved_bytes << " resizes=" << f.resizes
+        << " reroutes=" << f.reroutes << " freeze_hits=" << f.freeze_hits
+        << " setbw_bumps=" << f.setbw_bumps << " split=" << f.split
+        << " killed=" << f.killed << " started=" << f.started << "\n";
+  }
+  for (const obs::DecisionAudit& d : hub.trace.decisions()) {
+    out << "decision t=" << d.time_sec << " candidates=" << d.candidates
+        << " own=" << d.own_time_sec << " impact=" << d.impact_sec
+        << " frozen=" << d.frozen_flows
+        << " suppressed=" << d.freeze_suppressed << " split=" << d.split
+        << "\n";
+  }
+  for (const double e : hub.trace.belief_errors()) {
+    out << "belief " << e << "\n";
+  }
+  return out.str();
+}
+
 TEST(DecisionGolden, Fig4ConfigReplaysAtOneAndEightThreads) {
   expect_replays(sim_config(220, 0.07, 7), "decisions_fig4_seed7.txt");
 }
 
 TEST(DecisionGolden, Fig6ConfigReplaysAtOneAndEightThreads) {
   expect_replays(sim_config(160, 4.0, 11), "decisions_fig6_seed11.txt");
+}
+
+TEST(TraceGolden, Fig4ConfigReplaysAtOneAndEightThreads) {
+  for (const std::size_t threads : {1u, 8u}) {
+    EXPECT_TRUE(golden::matches_golden(
+        "trace_fig4_seed7.txt", trace_transcript(sim_config(220, 0.07, 7),
+                                                 threads)))
+        << "decision_threads=" << threads;
+  }
 }
 
 }  // namespace

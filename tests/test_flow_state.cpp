@@ -3,9 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "net/paths.hpp"
-#include "net/shard_map.hpp"
 #include "net/topology.hpp"
-#include "net/tree.hpp"
 
 namespace mayflower::flowserver {
 namespace {
@@ -19,23 +17,16 @@ net::Path one_link_path(net::LinkId l) {
   return p;
 }
 
-// Link queries run on the decision snapshot a table populates.
-net::NetworkView snapshot(const FlowStateTable& t) {
-  net::NetworkView view;
-  t.snapshot_into(view);
-  return view;
-}
-
 TEST(FlowStateTable, AddRegistersFrozenFlow) {
   FlowStateTable t;
   t.add(1, one_link_path(0), 100.0, 10.0, sec(0));
-  const TrackedFlow* f = t.find(1);
+  const net::NetworkView::Flow* f = t.find(1);
   ASSERT_NE(f, nullptr);
   EXPECT_DOUBLE_EQ(f->bw_bps, 10.0);
   EXPECT_DOUBLE_EQ(f->remaining_bytes, 100.0);
-  EXPECT_TRUE(f->frozen);
+  EXPECT_TRUE(t.tracked(1)->frozen);
   // Freeze horizon = expected completion: 100/10 = 10s.
-  EXPECT_EQ(f->freeze_until, sec(10.0));
+  EXPECT_EQ(t.tracked(1)->freeze_until, sec(10.0));
 }
 
 TEST(FlowStateTable, DropErases) {
@@ -43,6 +34,7 @@ TEST(FlowStateTable, DropErases) {
   t.add(1, one_link_path(0), 100.0, 10.0, sec(0));
   t.drop(1);
   EXPECT_EQ(t.find(1), nullptr);
+  EXPECT_EQ(t.tracked(1), nullptr);
   EXPECT_EQ(t.size(), 0u);
   t.drop(1);  // idempotent
 }
@@ -65,7 +57,7 @@ TEST(FlowStateTable, ExpiredFreezeAcceptsSamples) {
   t.update_from_stats(1, 60.0, sec(11.0));     // past freeze_until=10
   // Measured: (60-5)/(11-1) = 5.5 B/s.
   EXPECT_DOUBLE_EQ(t.find(1)->bw_bps, 5.5);
-  EXPECT_FALSE(t.find(1)->frozen);
+  EXPECT_FALSE(t.tracked(1)->frozen);
   EXPECT_DOUBLE_EQ(t.find(1)->remaining_bytes, 40.0);
 }
 
@@ -73,24 +65,23 @@ TEST(FlowStateTable, SetBwRefreezes) {
   FlowStateTable t;
   t.add(1, one_link_path(0), 100.0, 10.0, sec(0));
   t.update_from_stats(1, 50.0, sec(11.0));  // unfreezes (measured 50/11)
-  ASSERT_FALSE(t.find(1)->frozen);
+  ASSERT_FALSE(t.tracked(1)->frozen);
   t.setbw(1, 25.0, sec(11.0));
-  const TrackedFlow* f = t.find(1);
-  EXPECT_TRUE(f->frozen);
-  EXPECT_DOUBLE_EQ(f->bw_bps, 25.0);
+  EXPECT_TRUE(t.tracked(1)->frozen);
+  EXPECT_DOUBLE_EQ(t.find(1)->bw_bps, 25.0);
   // Horizon proportional to remaining (50) / bw (25) = 2s.
-  EXPECT_EQ(f->freeze_until, sec(13.0));
+  EXPECT_EQ(t.tracked(1)->freeze_until, sec(13.0));
 }
 
 TEST(FlowStateTable, FreezeDisabledAcceptsEverySample) {
   FlowStateTable t;
   t.set_freeze_enabled(false);
   t.add(1, one_link_path(0), 100.0, 10.0, sec(0));
-  EXPECT_FALSE(t.find(1)->frozen);
+  EXPECT_FALSE(t.tracked(1)->frozen);
   t.update_from_stats(1, 5.0, sec(1.0));
   EXPECT_DOUBLE_EQ(t.find(1)->bw_bps, 5.0);
   t.setbw(1, 42.0, sec(2.0));
-  EXPECT_FALSE(t.find(1)->frozen);  // SETBW does not freeze either
+  EXPECT_FALSE(t.tracked(1)->frozen);  // SETBW does not freeze either
 }
 
 TEST(FlowStateTable, StatsForUnknownCookieAreIgnored) {
@@ -110,10 +101,10 @@ TEST(FlowStateTable, ResizeAdjustsSizeRemainingAndHorizon) {
   FlowStateTable t;
   t.add(1, one_link_path(0), 100.0, 10.0, sec(0));
   t.resize(1, 40.0, sec(0));
-  const TrackedFlow* f = t.find(1);
+  const net::NetworkView::Flow* f = t.find(1);
   EXPECT_DOUBLE_EQ(f->size_bytes, 40.0);
   EXPECT_DOUBLE_EQ(f->remaining_bytes, 40.0);
-  EXPECT_EQ(f->freeze_until, sec(4.0));
+  EXPECT_EQ(t.tracked(1)->freeze_until, sec(4.0));
 }
 
 TEST(FlowStateTable, FlowsOnLinkFiltersByPath) {
@@ -124,7 +115,7 @@ TEST(FlowStateTable, FlowsOnLinkFiltersByPath) {
   both.links = {0, 1};
   both.nodes = {0, 1, 2};
   t.add(3, both, 10.0, 1.0, sec(0));
-  const net::NetworkView view = snapshot(t);
+  const net::NetworkView& view = t.view();
   EXPECT_EQ(view.flows_on_link(0).size(), 2u);
   EXPECT_EQ(view.flows_on_link(1).size(), 2u);
   EXPECT_EQ(view.flows_on_link(7).size(), 0u);
@@ -136,7 +127,7 @@ TEST(FlowStateTable, FlowsOnPathDeduplicates) {
   both.links = {0, 1};
   both.nodes = {0, 1, 2};
   t.add(1, both, 10.0, 1.0, sec(0));  // crosses both links of the query path
-  EXPECT_EQ(snapshot(t).flows_on_path(both).size(), 1u);
+  EXPECT_EQ(t.view().flows_on_path(both).size(), 1u);
 }
 
 TEST(FlowStateTable, RemainingClampsAfterResizeOvershoot) {
@@ -153,7 +144,7 @@ TEST(FlowStateTable, FlowsOnLinkIteratesInCookieOrder) {
   t.add(9, one_link_path(0), 10.0, 1.0, sec(0));
   t.add(2, one_link_path(0), 10.0, 1.0, sec(0));
   t.add(5, one_link_path(0), 10.0, 1.0, sec(0));
-  const net::NetworkView view = snapshot(t);
+  const net::NetworkView& view = t.view();
   const auto flows = view.flows_on_link(0);
   ASSERT_EQ(flows.size(), 3u);
   EXPECT_EQ(flows[0]->key, 2u);
@@ -161,107 +152,23 @@ TEST(FlowStateTable, FlowsOnLinkIteratesInCookieOrder) {
   EXPECT_EQ(flows[2]->key, 9u);
 }
 
-// --- sharded layout -------------------------------------------------------
-
-class ShardedFlowStateTest : public ::testing::Test {
- protected:
-  ShardedFlowStateTest()
-      : tree_(net::build_three_tier(net::ThreeTierConfig{})) {
-    table_.set_shard_map(net::ShardMap::by_edge_switch(tree_.topo));
-  }
-
-  net::Path path_between(net::NodeId a, net::NodeId b) {
-    return net::shortest_paths(tree_.topo, a, b).at(0);
-  }
-
-  std::uint32_t shard_of_host(net::NodeId h) const {
-    return table_.shard_map().shard_of_node(h);
-  }
-
-  net::ThreeTier tree_;
-  FlowStateTable table_;
-};
-
-TEST_F(ShardedFlowStateTest, AddRoutesByPathSourceEdge) {
-  ASSERT_GT(table_.shard_count(), 1u);
-  const std::uint32_t s0 = shard_of_host(tree_.hosts[0]);
-  const std::uint32_t s1 = shard_of_host(tree_.hosts[4]);
-  ASSERT_NE(s0, s1);
-  table_.add(1, path_between(tree_.hosts[0], tree_.hosts[1]), 100.0, 10.0,
-             sec(0));
-  // A cross-rack flow lives with its SOURCE edge (rack 0), not rack 1's.
-  table_.add(2, path_between(tree_.hosts[0], tree_.hosts[4]), 100.0, 10.0,
-             sec(0));
-  table_.add(3, path_between(tree_.hosts[4], tree_.hosts[5]), 100.0, 10.0,
-             sec(0));
-  EXPECT_EQ(table_.shard_version(s0), 2u);
-  EXPECT_EQ(table_.shard_version(s1), 1u);
-  EXPECT_EQ(table_.version(), 3u);  // total = sum of shard versions
-  EXPECT_EQ(table_.size(), 3u);
-}
-
-TEST_F(ShardedFlowStateTest, MutationsBumpOnlyTheirShard) {
-  const std::uint32_t s0 = shard_of_host(tree_.hosts[0]);
-  const std::uint32_t s1 = shard_of_host(tree_.hosts[4]);
-  table_.add(1, path_between(tree_.hosts[0], tree_.hosts[1]), 100.0, 10.0,
-             sec(0));
-  table_.add(2, path_between(tree_.hosts[4], tree_.hosts[5]), 100.0, 10.0,
-             sec(0));
-  const std::uint64_t v0 = table_.shard_version(s0);
-  const std::uint64_t v1 = table_.shard_version(s1);
-  table_.setbw(2, 20.0, sec(1.0));
-  EXPECT_EQ(table_.shard_version(s0), v0);
-  EXPECT_EQ(table_.shard_version(s1), v1 + 1);
-  table_.drop(1);
-  EXPECT_EQ(table_.shard_version(s0), v0 + 1);
-  EXPECT_EQ(table_.shard_version(s1), v1 + 1);
-  EXPECT_EQ(table_.find(2)->path.nodes.front(), tree_.hosts[4]);
-}
-
-TEST_F(ShardedFlowStateTest, DroppedCookieIsReusableInAnyShard) {
-  table_.add(3, path_between(tree_.hosts[8], tree_.hosts[9]), 50.0, 5.0,
-             sec(0));
-  table_.drop(3);
-  EXPECT_EQ(table_.find(3), nullptr);
-  table_.add(3, path_between(tree_.hosts[0], tree_.hosts[2]), 50.0, 5.0,
-             sec(1.0));
-  EXPECT_EQ(table_.shard_map().shard_of_path(table_.find(3)->path),
-            shard_of_host(tree_.hosts[0]));
-  EXPECT_EQ(table_.size(), 1u);
-}
-
-TEST_F(ShardedFlowStateTest, FlowsOnLinkMergeAcrossShardsInCookieOrder) {
-  // Two flows from DIFFERENT racks converge on host 8's downlink; the
-  // snapshot of a sharded table must still answer in cookie order.
-  const net::Path a = path_between(tree_.hosts[0], tree_.hosts[8]);
-  const net::Path b = path_between(tree_.hosts[4], tree_.hosts[8]);
-  const net::LinkId down =
-      tree_.topo.find_link(tree_.edge_of_host(tree_.hosts[8]), tree_.hosts[8]);
-  ASSERT_EQ(a.links.back(), down);
-  ASSERT_EQ(b.links.back(), down);
-  table_.add(7, a, 100.0, 10.0, sec(0));  // higher cookie added first
-  table_.add(3, b, 100.0, 10.0, sec(0));
-  const net::NetworkView view = snapshot(table_);
-  const auto on_link = view.flows_on_link(down);
-  ASSERT_EQ(on_link.size(), 2u);
-  EXPECT_EQ(on_link[0]->key, 3u);
-  EXPECT_EQ(on_link[1]->key, 7u);
-}
-
-TEST_F(ShardedFlowStateTest, SnapshotShardCopiesOneShard) {
-  table_.add(1, path_between(tree_.hosts[0], tree_.hosts[1]), 100.0, 10.0,
-             sec(0));
-  table_.add(2, path_between(tree_.hosts[4], tree_.hosts[5]), 100.0, 10.0,
-             sec(0));
-  net::NetworkView view;
-  view.reset_links(tree_.topo);
-  view.set_shard_map(table_.shard_map());
-  table_.snapshot_shard_into(view, shard_of_host(tree_.hosts[0]));
-  EXPECT_NE(view.find(1), nullptr);
-  EXPECT_EQ(view.find(2), nullptr);
-  table_.snapshot_shard_into(view, shard_of_host(tree_.hosts[4]));
-  EXPECT_NE(view.find(2), nullptr);
-  EXPECT_EQ(view.flow_count(), 2u);
+TEST(FlowStateTable, EveryOperationLandsInTheViewDecisionsRead) {
+  // One flow store: add, SETBW, resize, UPDATEBW and drop all act on the
+  // object view() returns — there is no copy to refresh.
+  FlowStateTable t;
+  const net::NetworkView& view = t.view();
+  t.add(1, one_link_path(0), 100.0, 10.0, sec(0));
+  ASSERT_EQ(view.flows_on_link(0).size(), 1u);
+  EXPECT_EQ(view.flows_on_link(0)[0], t.find(1));
+  t.setbw(1, 8.0, sec(1.0));
+  EXPECT_DOUBLE_EQ(view.find(1)->bw_bps, 8.0);
+  t.resize(1, 60.0, sec(1.0));
+  EXPECT_DOUBLE_EQ(view.find(1)->size_bytes, 60.0);
+  t.update_from_stats(1, 20.0, sec(2.0));
+  EXPECT_DOUBLE_EQ(view.find(1)->remaining_bytes, 40.0);
+  t.drop(1);
+  EXPECT_EQ(view.flow_count(), 0u);
+  EXPECT_TRUE(view.flows_on_link(0).empty());
 }
 
 }  // namespace

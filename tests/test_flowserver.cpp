@@ -149,7 +149,7 @@ TEST_F(FlowserverTest, StatsPollRefreshesUnfrozenEstimates) {
                      nullptr);
 
   events_.run_until(sim::SimTime::from_seconds(1.5));
-  const TrackedFlow* f = server.table().find(cookie);
+  const net::NetworkView::Flow* f = server.table().find(cookie);
   ASSERT_NE(f, nullptr);
   EXPECT_GT(server.polls(), 0u);
   EXPECT_NEAR(f->bw_bps, 62.5e6, 1e6);
@@ -173,10 +173,10 @@ TEST_F(FlowserverTest, FrozenEstimateSurvivesFirstPoll) {
                      nullptr);
   events_.run_until(sim::SimTime::from_seconds(1.5));
   // ...but the flow is inside its freeze window, so the estimate holds.
-  const TrackedFlow* f = server.table().find(cookie);
+  const net::NetworkView::Flow* f = server.table().find(cookie);
   ASSERT_NE(f, nullptr);
   EXPECT_NE(f->bw_bps, estimate);  // SETBW from the competing selection...
-  EXPECT_TRUE(f->frozen);
+  EXPECT_TRUE(server.table().tracked(cookie)->frozen);
   server.stop();
 }
 
@@ -235,7 +235,7 @@ TEST_F(FlowserverTest, EstimatesAgreeWithGroundTruthAfterPoll) {
   }
   events_.run_until(sim::SimTime::from_seconds(2.5));
   for (const sdn::Cookie c : cookies) {
-    const TrackedFlow* f = server.table().find(c);
+    const net::NetworkView::Flow* f = server.table().find(c);
     ASSERT_NE(f, nullptr);
     EXPECT_NEAR(f->bw_bps, 62.5e6, 1e5);
     // Remaining size tracked through byte counters, not guesses.
@@ -266,19 +266,24 @@ TEST_F(FlowserverTest, ViewReuseAcrossDecisionsWhenNothingMoved) {
   EXPECT_EQ(server.view().epoch(), epoch);
 }
 
-TEST_F(FlowserverTest, PollStalesTheViewViaTableVersion) {
+TEST_F(FlowserverTest, PollLandsInTheViewWithoutARefresh) {
   FlowserverConfig cfg = default_config();
   cfg.freeze_enabled = false;
   Flowserver server(fabric_, cfg);
   const auto assignments = server.select_for_read(
       tree_.hosts[0], {tree_.hosts[1]}, 250e6);
   execute(server, assignments);
+  const sdn::Cookie cookie = assignments[0].cookie;
   const std::uint64_t builds = server.view_rebuilds();
-  // A stats poll rewrites bandwidth estimates -> table version moves -> the
-  // snapshot taken before the poll is rejected and rebuilt.
+  // Two polls a second apart: the second measures the flow's rate. UPDATEBW
+  // writes the one flow store, so the view shows it with no refresh.
   server.collect_stats();
-  (void)server.view();
-  EXPECT_GT(server.view_rebuilds(), builds);
+  events_.run_until(sim::SimTime::from_seconds(1.0));
+  server.collect_stats();
+  const net::NetworkView& v = server.view();
+  EXPECT_EQ(server.view_rebuilds(), builds);
+  ASSERT_NE(v.find(cookie), nullptr);
+  EXPECT_NEAR(v.find(cookie)->remaining_bytes, 125e6, 1e3);
 }
 
 TEST_F(FlowserverTest, FaultStalesTheViewViaFabricEpoch) {
@@ -315,8 +320,8 @@ TEST_F(FlowserverTest, OwnCommitsDoNotStaleTheView) {
   Flowserver server(fabric_, default_config());
   (void)server.select_for_read(tree_.hosts[0], {tree_.hosts[16]}, 64e6);
   const std::uint64_t builds = server.view_rebuilds();
-  // The commit moved the table version, but the drain wrote through to the
-  // view and absorbed the delta: the next decision reuses the snapshot.
+  // The commit changed the flow store, which is the view: the next decision
+  // needs no refresh.
   (void)server.select_for_read(tree_.hosts[2], {tree_.hosts[20]}, 64e6);
   EXPECT_EQ(server.view_rebuilds(), builds);
 }

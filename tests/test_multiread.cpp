@@ -9,9 +9,8 @@ namespace {
 
 using testing::Figure2;
 
-// Plans read-only against `view`, then commits the plan through to the
-// selector's table and the view — the Flowserver's evaluate-then-replay
-// sequence for one request.
+// Plans read-only against `view`, then commits the plan to the selector's
+// table — the Flowserver's evaluate-then-replay sequence for one request.
 std::vector<SubflowPlan> plan_then_commit(MultiReadPlanner& planner,
                                           net::NetworkView& view,
                                           net::NodeId client,
@@ -20,7 +19,7 @@ std::vector<SubflowPlan> plan_then_commit(MultiReadPlanner& planner,
   const std::vector<sdn::Cookie> cookies{900, 901};
   std::vector<SubflowPlan> plans =
       planner.plan_readonly(view, client, reps, bytes, cookies);
-  planner.commit_plans(view, plans, bytes, cookies, sim::SimTime{});
+  planner.commit_plans(plans, bytes, cookies, sim::SimTime{});
   return plans;
 }
 

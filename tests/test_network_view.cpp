@@ -1,6 +1,6 @@
-// Unit tests of the NetworkView decision snapshot: link facts, believed
-// flows with their per-link index, write-through mutations and the bounded
-// tentative scope the multi-read planner relies on.
+// Unit tests of the NetworkView: link facts, believed flows with their
+// per-link index, flow mutations and the bounded tentative scope the
+// multi-read planner relies on.
 #include "net/network_view.hpp"
 
 #include <gtest/gtest.h>
@@ -97,6 +97,9 @@ TEST_F(NetworkViewTest, WriteThroughMutationsUpdateFlowsAndIndex) {
   view_.resize_flow(1, 3e6);
   EXPECT_DOUBLE_EQ(view_.find(1)->size_bytes, 3e6);
   EXPECT_DOUBLE_EQ(view_.find(1)->remaining_bytes, 3e6);
+  view_.set_flow_remaining(1, 1e6);
+  EXPECT_DOUBLE_EQ(view_.find(1)->size_bytes, 3e6);
+  EXPECT_DOUBLE_EQ(view_.find(1)->remaining_bytes, 1e6);
 
   view_.drop_flow(1);
   EXPECT_EQ(view_.find(1), nullptr);
@@ -124,11 +127,13 @@ TEST_F(NetworkViewTest, RollbackRestoresPreTentativeState) {
   EXPECT_TRUE(view_.tentative_active());
   view_.set_flow_bps(1, 9e6);        // mutate an existing flow
   view_.set_flow_bps(1, 1e6);        // twice: undo must keep FIRST-touch state
+  view_.set_flow_remaining(1, 3e6);
   view_.add_flow(2, p2, 4e6, 1e6);  // and add a new one
   view_.rollback_tentative();
 
   EXPECT_FALSE(view_.tentative_active());
   EXPECT_DOUBLE_EQ(view_.find(1)->bw_bps, 2e6);
+  EXPECT_DOUBLE_EQ(view_.find(1)->remaining_bytes, 8e6);
   EXPECT_EQ(view_.find(2), nullptr);
   EXPECT_TRUE(view_.flows_on_path(p2).empty());
 }
@@ -145,41 +150,6 @@ TEST_F(NetworkViewTest, RollbackResurrectsDroppedFlow) {
   ASSERT_EQ(view_.flows_on_path(p).size(), 1u);  // back in the index
 }
 
-TEST_F(NetworkViewTest, UnloadShardRemovesOnlyThatShardsFlows) {
-  view_.set_shard_map(ShardMap::by_edge_switch(tree_.topo));
-  ASSERT_GT(view_.shard_count(), 1u);
-  // One intra-rack flow in rack 0, one in rack 1, one cross-rack FROM rack 0
-  // (sharded by its source edge, rack 0).
-  const Path rack0 = path_between(tree_.hosts[0], tree_.hosts[1]);
-  const Path rack1 = path_between(tree_.hosts[4], tree_.hosts[5]);
-  const Path cross = path_between(tree_.hosts[0], tree_.hosts[4]);
-  view_.add_flow(1, rack0, 8e6, 2e6);
-  view_.add_flow(2, rack1, 8e6, 2e6);
-  view_.add_flow(3, cross, 8e6, 2e6);
-
-  const std::uint32_t shard0 =
-      view_.shard_map().shard_of_node(tree_.hosts[0]);
-  view_.unload_shard(shard0);
-  EXPECT_EQ(view_.find(1), nullptr);
-  EXPECT_EQ(view_.find(3), nullptr);  // cross-rack flow left with its source
-  ASSERT_NE(view_.find(2), nullptr);
-  // The link index dropped the unloaded flows too.
-  EXPECT_TRUE(view_.flows_on_path(rack0).empty());
-  EXPECT_TRUE(view_.flows_on_path(cross).empty());
-  EXPECT_EQ(view_.flows_on_path(rack1).size(), 1u);
-  EXPECT_EQ(view_.flow_count(), 1u);
-}
-
-TEST_F(NetworkViewTest, ShardStampsRoundTrip) {
-  view_.set_shard_map(ShardMap::by_edge_switch(tree_.topo));
-  EXPECT_EQ(view_.shard_stamp(2), 0u);  // unstamped: never built
-  view_.stamp_shard(2, 17);
-  view_.stamp_shard(5, 3);
-  EXPECT_EQ(view_.shard_stamp(2), 17u);
-  EXPECT_EQ(view_.shard_stamp(5), 3u);
-  EXPECT_EQ(view_.shard_stamp(1), 0u);
-}
-
 TEST_F(NetworkViewTest, RefreshLinkStateKeepsBelievedFlows) {
   const Path p = path_between(tree_.hosts[0], tree_.hosts[1]);
   view_.add_flow(1, p, 8e6, 2e6);
@@ -193,24 +163,6 @@ TEST_F(NetworkViewTest, RefreshLinkStateKeepsBelievedFlows) {
   // ...while the believed-flow section survives untouched.
   ASSERT_NE(view_.find(1), nullptr);
   EXPECT_EQ(view_.flows_on_path(p).size(), 1u);
-}
-
-TEST_F(NetworkViewTest, RollbackRestoresShardTrackedFlow) {
-  // The undo path must maintain the per-shard key lists it restores into.
-  view_.set_shard_map(ShardMap::by_edge_switch(tree_.topo));
-  const Path p = path_between(tree_.hosts[0], tree_.hosts[1]);
-  view_.add_flow(1, p, 8e6, 2e6);
-  view_.begin_tentative();
-  view_.drop_flow(1);
-  view_.add_flow(2, p, 4e6, 1e6);
-  view_.rollback_tentative();
-  ASSERT_NE(view_.find(1), nullptr);
-  EXPECT_EQ(view_.find(2), nullptr);
-  // Shard bookkeeping stayed consistent: unloading the shard must remove
-  // exactly the restored flow without tripping the key-list asserts.
-  view_.unload_shard(view_.shard_map().shard_of_node(tree_.hosts[0]));
-  EXPECT_EQ(view_.find(1), nullptr);
-  EXPECT_EQ(view_.flow_count(), 0u);
 }
 
 }  // namespace

@@ -86,34 +86,31 @@ TEST_F(SelectorFigure2, CommitAppliesSetBwAndRegistersFlow) {
   Figure2 fig;
   net::PathCache cache(fig.topo);
   ReplicaPathSelector selector(fig.topo, cache, fig.table);
-  net::NetworkView view = fig.view();
-  const auto best = selector.select(view, fig.D, {fig.S}, kRequest);
+  const auto best = selector.select(fig.view(), fig.D, {fig.S}, kRequest);
   ASSERT_TRUE(best.has_value());
   const sim::SimTime now = sim::SimTime::from_seconds(1.0);
-  selector.commit(view, *best, /*cookie=*/999, kRequest, now);
+  selector.commit(*best, /*cookie=*/999, kRequest, now);
 
   // New flow registered, frozen, with its estimate.
-  const TrackedFlow* nf = fig.table.find(999);
+  const net::NetworkView::Flow* nf = fig.table.find(999);
   ASSERT_NE(nf, nullptr);
   EXPECT_NEAR(nf->bw_bps, 3.0, 1e-9);
-  EXPECT_TRUE(nf->frozen);
+  EXPECT_TRUE(fig.table.tracked(999)->frozen);
   EXPECT_DOUBLE_EQ(nf->remaining_bytes, kRequest);
 
   // Second path chosen: flow4 (share 4 -> 3) and flow8 (8 -> 7) were SETBW'd
   // and frozen; first-path flows untouched.
   EXPECT_NEAR(fig.table.find(fig.flow4)->bw_bps, 3.0, 1e-9);
-  EXPECT_TRUE(fig.table.find(fig.flow4)->frozen);
+  EXPECT_TRUE(fig.table.tracked(fig.flow4)->frozen);
   EXPECT_NEAR(fig.table.find(fig.flow8)->bw_bps, 7.0, 1e-9);
   EXPECT_NEAR(fig.table.find(fig.flow6)->bw_bps, 6.0, 1e-9);
   EXPECT_NEAR(fig.table.find(fig.flow10)->bw_bps, 10.0, 1e-9);
 
-  // Write-through: the batch's view mirrors every commit, so later
-  // decisions in the same batch see identical state.
+  // One flow store: the view the next decision reads holds the commit.
+  const net::NetworkView& view = fig.table.view();
   ASSERT_NE(view.find(999), nullptr);
   EXPECT_NEAR(view.find(999)->bw_bps, 3.0, 1e-9);
   EXPECT_NEAR(view.find(fig.flow4)->bw_bps, 3.0, 1e-9);
-  EXPECT_NEAR(view.find(fig.flow8)->bw_bps, 7.0, 1e-9);
-  EXPECT_NEAR(view.find(fig.flow6)->bw_bps, 6.0, 1e-9);
 }
 
 TEST_F(SelectorFigure2, GreedyModeIgnoresImpact) {
@@ -138,11 +135,10 @@ TEST_F(SelectorFigure2, CommitNeverRaisesAFlowAboveItsCurrentShare) {
   net::PathCache cache(fig.topo);
   ReplicaPathSelector selector(fig.topo, cache, fig.table);
 
-  // The selection reads a snapshot taken BEFORE the interleaving below: the
-  // view is about to go stale, which is exactly the hazard the commit-time
-  // clamp guards against.
-  net::NetworkView view = fig.view();
-  const std::uint64_t version_at_snapshot = fig.table.version();
+  // The selection reads a copy taken BEFORE the interleaving below (as a
+  // decision worker's scratch, or a batch-start state an earlier commit has
+  // since moved): the hazard the commit-time clamp guards against.
+  const net::NetworkView view = fig.view();
 
   // Selection sees flow4 at share 4 and plans to bump it to 3 (path via B).
   const auto best = selector.select(view, fig.D, {fig.S}, kRequest);
@@ -153,25 +149,19 @@ TEST_F(SelectorFigure2, CommitNeverRaisesAFlowAboveItsCurrentShare) {
   }
   ASSERT_NEAR(planned_flow4, 3.0, 1e-9);
 
-  // Before commit, an interleaved poll measured flow4 at only 2. The table
-  // version moves — this is the signal the Flowserver uses to rebuild its
-  // cached view before the NEXT batch; the in-flight decision still holds
-  // the old snapshot.
+  // Before commit, an interleaved poll measured flow4 at only 2. The copy
+  // the decision planned against still holds the old share.
   fig.table.setbw(fig.flow4, 2.0, sim::SimTime{});
-  EXPECT_NE(fig.table.version(), version_at_snapshot);
-  EXPECT_NEAR(view.find(fig.flow4)->bw_bps, 4.0, 1e-9);  // snapshot unmoved
+  EXPECT_NEAR(view.find(fig.flow4)->bw_bps, 4.0, 1e-9);  // copy unmoved
 
-  selector.commit(view, *best, fig.next_cookie, kRequest, sim::SimTime{});
+  selector.commit(*best, fig.next_cookie, kRequest, sim::SimTime{});
 
   // The stale estimate (3) must not override the fresher, lower share (2):
-  // commit clamps to min(current, planned) against the authoritative table.
+  // commit clamps to min(current, planned) against the table.
   EXPECT_NEAR(fig.table.find(fig.flow4)->bw_bps, 2.0, 1e-9);
-  // The write-through mirrors the CLAMPED value, not the stale plan.
-  EXPECT_NEAR(view.find(fig.flow4)->bw_bps, 2.0, 1e-9);
   // Flows whose planned share is still below their current one drop as
   // planned.
   EXPECT_NEAR(fig.table.find(fig.flow8)->bw_bps, 7.0, 1e-9);
-  EXPECT_NEAR(view.find(fig.flow8)->bw_bps, 7.0, 1e-9);
 }
 
 TEST_F(SelectorFigure2, MultipleReplicasWidenTheSearch) {

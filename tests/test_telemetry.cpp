@@ -222,14 +222,14 @@ TEST_F(TelemetryTest, MouseStalenessStaysWithinItsPeriod) {
   const double period_sec =
       4.0 * server.config().poll_interval.seconds();
   for (const sdn::Cookie c : mice) {
-    const TrackedFlow* f = server.table().find(c);
+    const TrackedFlow* f = server.table().tracked(c);
     ASSERT_NE(f, nullptr);
     // The freeze contract's staleness bound: a mouse's belief bookkeeping is
     // at most mouse_period poll intervals old.
     EXPECT_LE((now - f->last_poll_time).seconds(), period_sec + 1e-9);
   }
   // The elephant was applied on the most recent cycle (t=20).
-  const TrackedFlow* e = server.table().find(elephants.at(0));
+  const TrackedFlow* e = server.table().tracked(elephants.at(0));
   ASSERT_NE(e, nullptr);
   EXPECT_LE((now - e->last_poll_time).seconds(), 1.0 + 1e-9);
   EXPECT_EQ(server.telemetry().flow_class(elephants.at(0)),

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <set>
 
+#include "net/fat_tree.hpp"
+
 namespace mayflower::workload {
 namespace {
 
@@ -45,6 +47,81 @@ TEST_F(WorkloadTest, PrimaryIsRoughlyUniform) {
   }
   const double expected = kTrials / static_cast<double>(tree_.hosts.size());
   for (const int c : counts) EXPECT_NEAR(c, expected, expected * 0.25);
+}
+
+// The scan-based placement ReplicaPlacer replaced: a full pass over the
+// hosts per draw, kept here as the reference the arithmetic must match.
+std::vector<net::NodeId> reference_place(const net::ThreeTier& tree,
+                                         std::size_t replication, Rng& rng) {
+  const auto& hosts = tree.hosts;
+  std::vector<net::NodeId> replicas;
+  std::vector<int> used_racks;
+  const net::NodeId primary = hosts[rng.next_below(hosts.size())];
+  replicas.push_back(primary);
+  used_racks.push_back(tree.rack_of(primary));
+  auto pick_from = [&](auto&& predicate) -> bool {
+    std::vector<net::NodeId> pool;
+    for (const net::NodeId h : hosts) {
+      const int rack = tree.rack_of(h);
+      if (std::find(used_racks.begin(), used_racks.end(), rack) !=
+          used_racks.end()) {
+        continue;
+      }
+      if (predicate(h)) pool.push_back(h);
+    }
+    if (pool.empty()) return false;
+    const net::NodeId pick = pool[rng.next_below(pool.size())];
+    replicas.push_back(pick);
+    used_racks.push_back(tree.rack_of(pick));
+    return true;
+  };
+  if (replication >= 2) {
+    pick_from([&](net::NodeId h) {
+      return tree.pod_of(h) == tree.pod_of(primary);
+    });
+  }
+  while (replicas.size() < replication) {
+    if (!pick_from([&](net::NodeId h) {
+          return tree.pod_of(h) != tree.pod_of(primary);
+        })) {
+      pick_from([](net::NodeId) { return true; });
+    }
+  }
+  return replicas;
+}
+
+TEST(ReplicaPlacer, MatchesTheHostScanDrawForDraw) {
+  std::vector<net::ThreeTier> trees;
+  trees.push_back(net::build_three_tier(net::ThreeTierConfig{}));
+  trees.push_back(net::build_three_tier(
+      net::ThreeTierConfig::with_oversubscription(8.0)));
+  // One pod: every replica past the second takes the any-rack fallback.
+  net::ThreeTierConfig one_pod;
+  one_pod.pods = 1;
+  one_pod.racks_per_pod = 5;
+  trees.push_back(net::build_three_tier(one_pod));
+  for (const std::uint32_t k : {4u, 8u, 16u}) {
+    trees.push_back(
+        net::three_tier_from_fat_tree(net::FatTreeConfig{k, 125e6}));
+  }
+  for (const net::ThreeTier& tree : trees) {
+    const ReplicaPlacer placer(tree);
+    for (std::size_t replication = 1; replication <= 4; ++replication) {
+      for (const std::uint64_t seed : {1u, 7u, 4242u}) {
+        Rng a(seed);
+        Rng b(seed);
+        for (int file = 0; file < 300; ++file) {
+          ASSERT_EQ(placer.place(replication, a),
+                    reference_place(tree, replication, b))
+              << "hosts=" << tree.hosts.size()
+              << " replication=" << replication << " seed=" << seed
+              << " file=" << file;
+        }
+        // Same number of draws: the streams stay in step.
+        EXPECT_EQ(a.next_u64(), b.next_u64());
+      }
+    }
+  }
 }
 
 TEST_F(WorkloadTest, CatalogBuildsRequestedFiles) {

@@ -14,11 +14,9 @@ file it also diffs for determinism):
   * estimator_error and belief_error percentiles are ordered
     (p50 <= p90 <= p99 <= max);
   * every obs block with a Flowserver attached (it exports
-    flowserver.selections) carries the flowserver.shard.*, flowserver.poll.*
-    and flowserver.write.* families complete — the server registers them
+    flowserver.selections) carries the flowserver.poll.* and
+    flowserver.write.* families complete — the server registers them
     whether or not their layer did any work;
-  * flowserver.shard.* is coherent: the shard-count gauge is >= 2 and
-    per-shard reloads imply at least one prior full view build;
   * flowserver.poll.* (five counters + two gauges) is coherent: budget
     deferrals and class transitions imply applied samples;
   * sdn.poller.ticks and sdn.poller.cycles are exported together and
@@ -76,7 +74,7 @@ REGISTERED_METRICS = {
     "<scope>.probes_sent": "counter",
     "<scope>.rereplications": "counter",
     "<scope>.rpc.<method>": "counter",
-    # flowserver (selection, telemetry, sharded state, write path)
+    # flowserver (selection, telemetry, write path)
     "flowserver.selections": "counter",
     "flowserver.split_reads": "counter",
     "flowserver.table.freeze_suppressed": "counter",
@@ -88,10 +86,6 @@ REGISTERED_METRICS = {
     "flowserver.poll.elephants": "gauge",
     "flowserver.poll.mice": "gauge",
     "flowserver.poll.samples_per_tick": "histogram",
-    "flowserver.shard.count": "gauge",
-    "flowserver.shard.full_rebuilds": "counter",
-    "flowserver.shard.reloads": "counter",
-    "flowserver.shard.link_refreshes": "counter",
     "flowserver.write.chains": "counter",
     "flowserver.write.hops": "counter",
     "flowserver.write.truncated": "counter",
@@ -241,49 +235,16 @@ def check_obs(obs, where):
     err = obs.get("estimator_error")
     if isinstance(err, dict) and err.get("count", 0) > 0 and not flows:
         fail(f"{where}: estimator errors without any finished flows")
-    check_shard_family(obs, where)
     check_meta_family(obs, where)
     check_poll_family(obs, where)
     check_poller_cycles(obs, where)
     check_write_family(obs, where)
 
 
-SHARD_COUNTERS = (
-    "flowserver.shard.full_rebuilds",
-    "flowserver.shard.reloads",
-    "flowserver.shard.link_refreshes",
-)
-
-
 def flowserver_attached(obs):
     """A Flowserver registers flowserver.selections and, with it, every
     flowserver.* family below."""
     return "flowserver.selections" in obs["counters"]
-
-
-def check_shard_family(obs, where):
-    """flowserver.shard.* is complete and internally coherent."""
-    counters = obs["counters"]
-    gauges = obs["gauges"]
-    present = [c for c in SHARD_COUNTERS if c in counters]
-    has_gauge = "flowserver.shard.count" in gauges
-    if not present and not has_gauge and not flowserver_attached(obs):
-        return  # no Flowserver in this block: nothing due
-    missing = [c for c in SHARD_COUNTERS if c not in counters]
-    if missing:
-        fail(f"{where}: partial flowserver.shard.* export, missing "
-             f"{missing}")
-    if not has_gauge:
-        fail(f"{where}: flowserver.shard.* counters without a "
-             f"'flowserver.shard.count' gauge")
-        return
-    shard_count = gauges["flowserver.shard.count"]
-    if shard_count < 2:
-        fail(f"{where}: shard metrics exported but shard count is "
-             f"{shard_count} (sharding not in effect)")
-    if counters.get("flowserver.shard.reloads", 0) > 0 and \
-            counters.get("flowserver.shard.full_rebuilds", 0) < 1:
-        fail(f"{where}: shard reloads without any prior full view build")
 
 
 POLL_COUNTERS = (

@@ -5,14 +5,15 @@ Eight checks, each enforcing a repo-wide contract that a plain grep cannot
 (the scanner strips comments and string literals first, so prose mentioning a
 banned identifier does not trip the gate):
 
-  boundary  Decision code reads only the NetworkView snapshot. The files
-            that cost candidates and pick replicas/paths — and the sharded
-            state plane they read through (shard map, view, flow table) —
-            must never name raw fabric/simulator state (flow_sim,
-            port_bytes, poll_port_stats, flow_record, switch_at), nor the
-            retired serial pipeline (plan_and_commit, flow_abandoned); the
-            flow table keeps no link index and no undo log (LinkIndex,
-            record_undo, *_tentative). The fs data plane (client,
+  boundary  Decision code reads only the NetworkView. The files that cost
+            candidates and pick replicas/paths — and the flow store they
+            read through (view, flow table) — must never name raw
+            fabric/simulator state (flow_sim, port_bytes, poll_port_stats,
+            flow_record, switch_at), nor the retired serial pipeline
+            (plan_and_commit, flow_abandoned), nor the retired sharded
+            refresh plane (shard_version, unload_shard, ...); the flow
+            table keeps no link index and no undo log of its own
+            (LinkIndex, record_undo, *_tentative). The fs data plane (client,
             dataserver) reaches the controller only through the fs
             ReadPlanner/WritePlanner interfaces: it never names Flowserver,
             nor the retired write scheduler (write_scheduler,
@@ -89,27 +90,26 @@ BOUNDARY_FILES = [
     # fabric-blind as read selection.
     "src/flowserver/writechain.cpp", "src/flowserver/writechain.hpp",
     "src/policy/write_placement.cpp", "src/policy/write_placement.hpp",
-    # The sharded state plane: everything a decision reads flows through
-    # these, so they must stay as fabric-blind as the decision code itself.
-    "src/net/shard_map.cpp", "src/net/shard_map.hpp",
+    # The flow store: everything a decision reads flows through these, so
+    # they must stay as fabric-blind as the decision code itself.
     "src/net/network_view.cpp", "src/net/network_view.hpp",
     "src/flowserver/flow_state.cpp", "src/flowserver/flow_state.hpp",
 ]
 BOUNDARY_BANNED = ["flow_sim", "port_bytes", "poll_port_stats", "flow_record",
                    "switch_at"]
-# The decision files proper (everything above the shard-plane block) must
-# also never reach into shard bookkeeping: which shard a flow lives in and
-# when a shard section reloads is the refresh path's business; decisions see
-# one coherent view. Not applied to the shard-plane files, which define
-# these operations. The metadata plane's routing internals (which nameserver
-# owns a path, how adoption rebuilds a dead shard's keys) are banned for the
-# same reason: decision code asks the router, never the shard map.
-DECISION_FILE_COUNT = 18  # prefix of BOUNDARY_FILES the shard ban covers
+# The decision files proper (everything above the flow-store block) must
+# also never reach into the metadata plane's routing internals (which
+# nameserver owns a path, how adoption rebuilds a dead shard's keys):
+# decision code asks the router, never the shard map. The retired sharded
+# refresh plane's names (the flow table's shards and versions, the view's
+# shard sections) are banned in every boundary file: one flow store has no
+# shard to route to, reload or stamp.
+DECISION_FILE_COUNT = 18  # prefix of BOUNDARY_FILES the metadata ban covers
 # One decision pipeline: planning is read-only on a view and commits replay
 # afterwards, so the committing planners and the table's undo log stay gone.
 RETIRED_BANNED = ["plan_and_commit", "flow_abandoned"]
-# The flow table holds flows and versions only: link queries and tentative
-# planning belong to the NetworkView built from it.
+# The flow table applies operations to the NetworkView it owns: link queries
+# and tentative planning are the view's, never re-implemented here.
 TABLE_FILES = ["src/flowserver/flow_state.cpp",
                "src/flowserver/flow_state.hpp"]
 TABLE_BANNED = ["LinkIndex", "record_undo", "begin_tentative",
@@ -120,10 +120,10 @@ TABLE_BANNED = ["LinkIndex", "record_undo", "begin_tentative",
 DATA_PLANE_FILES = ["src/fs/client.cpp", "src/fs/client.hpp",
                     "src/fs/dataserver.cpp", "src/fs/dataserver.hpp"]
 DATA_PLANE_BANNED = ["Flowserver", "write_scheduler", "co_designed_writes"]
-SHARD_INTERNAL_BANNED = ["shard_of_node", "shard_of_path", "unload_shard",
-                         "snapshot_shard_into", "shard_version",
-                         "stamp_shard", "shard_stamp",
-                         "owner_of_path", "adopt_from_dataservers"]
+SHARD_RETIRED_BANNED = ["shard_of_node", "shard_of_path", "unload_shard",
+                        "snapshot_shard_into", "shard_version",
+                        "stamp_shard", "shard_stamp", "set_shard_map"]
+META_INTERNAL_BANNED = ["owner_of_path", "adopt_from_dataservers"]
 
 # Identifiers that smuggle wall-clock time or ambient randomness into a
 # deterministic simulation. Rng (src/common/rng.hpp) is the one sanctioned
@@ -327,7 +327,9 @@ def check_boundary(root, findings, files=None):
     table_pattern = re.compile(
         r"\b(%s)\b" % "|".join(re.escape(b) for b in TABLE_BANNED))
     shard_pattern = re.compile(
-        r"\b(%s)\b" % "|".join(re.escape(b) for b in SHARD_INTERNAL_BANNED))
+        r"\b(%s)\b" % "|".join(re.escape(b) for b in SHARD_RETIRED_BANNED))
+    meta_pattern = re.compile(
+        r"\b(%s)\b" % "|".join(re.escape(b) for b in META_INTERNAL_BANNED))
     data_plane_pattern = re.compile(
         r"\b(%s)\b" % "|".join(re.escape(b) for b in DATA_PLANE_BANNED))
     for path, decision_file in paths:
@@ -368,12 +370,18 @@ def check_boundary(root, findings, files=None):
                                  "the flow table keeps no link index or "
                                  "undo log: '%s'" % m.group(1)))
                 continue
+            m = shard_pattern.search(line)
+            if m:
+                findings.append((path, idx, "boundary",
+                                 "names the retired sharded refresh plane "
+                                 "'%s'" % m.group(1)))
+                continue
             if decision_file:
-                m = shard_pattern.search(line)
+                m = meta_pattern.search(line)
                 if m:
                     findings.append((path, idx, "boundary",
-                                     "decision code reaches into shard "
-                                     "bookkeeping '%s'" % m.group(1)))
+                                     "decision code reaches into metadata "
+                                     "shard routing '%s'" % m.group(1)))
 
 
 def unordered_members(code_lines):
